@@ -1,5 +1,4 @@
-//! The `diversim` command-line interface, and the entry point shared by
-//! the thin `eNN_*` experiment binaries.
+//! The `diversim` command-line interface.
 //!
 //! ```console
 //! $ diversim list
@@ -51,7 +50,7 @@ USAGE:
     diversim docs [--write]
     diversim help
 
-EXPERIMENT may be a slug (e01), a binary name (e01_el_model) or an id (1).
+EXPERIMENT may be a slug (e01), a name (e01_el_model) or an id (1).
 
 OPTIONS:
     --all          run every registered experiment
@@ -133,7 +132,7 @@ impl CommonFlags {
     }
 }
 
-/// Options shared by `diversim run` and the standalone binaries.
+/// Options of `diversim run`.
 #[derive(Debug, Clone)]
 struct RunOptions {
     profile: Profile,
@@ -629,7 +628,7 @@ fn serve(args: &[String]) -> ExitCode {
 fn list() -> ExitCode {
     let mut table = Table::new(
         "registered experiments",
-        &["slug", "binary", "paper result", "title", "full MC budget"],
+        &["slug", "name", "paper result", "title", "full MC budget"],
     );
     for spec in registry::all() {
         table.row(&[
@@ -859,34 +858,6 @@ pub fn main() -> ExitCode {
         }
         Some((other, _)) => {
             eprintln!("error: unknown command: {other}\n\n{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Entry point shared by the thin `eNN_*` binaries: runs one experiment
-/// (at `--full` effort unless flags say otherwise), forwarding any CLI
-/// flags of `diversim run`.
-pub fn experiment_binary_main(key: &str) -> ExitCode {
-    let spec = registry::find(key).expect("binary key must be registered");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_run_args(&args) {
-        Ok((keys, all, opts)) if keys.is_empty() && !all => {
-            let request = ExperimentRequest {
-                key: spec.slug.to_string(),
-                profile: opts.profile,
-            };
-            run_requests(&[request], &opts)
-        }
-        Ok(_) => {
-            eprintln!(
-                "error: {} runs exactly one experiment; use the `diversim` binary to select others",
-                spec.name
-            );
-            ExitCode::from(2)
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
             ExitCode::from(2)
         }
     }

@@ -10,6 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use diversim_core::el::ElAnalysis;
+use diversim_core::structure::Structure;
+use diversim_core::system::structure_system_pfd;
 use diversim_sim::runner::parallel_reduce;
 use diversim_stats::reduce::Moments;
 use diversim_universe::population::Population;
@@ -73,6 +75,7 @@ fn run(ctx: &mut RunContext) {
             format!("world=graded-spread({spread:.1})|study=pair-pfd|reps={replications}"),
             |scope| {
                 let model = world.pop_a.model().clone();
+                let pair = Structure::one_out_of_n(2);
                 let acc = parallel_reduce(
                     replications,
                     scope.seeds(),
@@ -82,7 +85,8 @@ fn run(ctx: &mut RunContext) {
                         let mut rng = StdRng::seed_from_u64(seed);
                         let v1 = world.pop_a.sample(&mut rng);
                         let v2 = world.pop_a.sample(&mut rng);
-                        diversim_core::system::pair_pfd(&v1, &v2, &model, &world.profile)
+                        structure_system_pfd(&pair, &[&v1, &v2], &model, &world.profile)
+                            .expect("a pair has two versions")
                     },
                 );
                 vec![acc.mean(), acc.standard_error()]

@@ -13,7 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use diversim_core::bounds::BackToBackBounds;
-use diversim_core::system::pair_pfd;
+use diversim_core::structure::Structure;
+use diversim_core::system::structure_system_pfd;
 use diversim_sim::campaign::CampaignRegime;
 use diversim_testing::fixing::PerfectFixer;
 use diversim_testing::oracle::IdenticalFailureModel;
@@ -21,6 +22,7 @@ use diversim_testing::process::back_to_back_debug;
 use diversim_testing::suite::TestSuite;
 use diversim_testing::suite_population::enumerate_iid_suites;
 use diversim_universe::population::Population;
+use diversim_universe::version::Version;
 
 use crate::report::Table;
 use crate::spec::{ExperimentSpec, FigureSpec, RunContext, SeriesSpec};
@@ -138,6 +140,11 @@ fn run(ctx: &mut RunContext) {
         format!("world=small-graded|seed=77|pairs={pairs}|study=exhaustive-pessimistic-b2b"),
         |_scope| {
             let model = w.pop_a.model().clone();
+            let pair = Structure::one_out_of_n(2);
+            let pair_pfd = |a: &Version, b: &Version| {
+                structure_system_pfd(&pair, &[a, b], &model, &w.profile)
+                    .expect("a pair has two versions")
+            };
             let exhaustive = TestSuite::exhaustive(model.space());
             let mut rng = StdRng::seed_from_u64(77);
             let mut pfd_changed = 0u64;
@@ -145,7 +152,7 @@ fn run(ctx: &mut RunContext) {
             for _ in 0..pairs {
                 let v1 = w.pop_a.sample(&mut rng);
                 let v2 = w.pop_a.sample(&mut rng);
-                let before = pair_pfd(&v1, &v2, &model, &w.profile);
+                let before = pair_pfd(&v1, &v2);
                 let out = back_to_back_debug(
                     &v1,
                     &v2,
@@ -155,7 +162,7 @@ fn run(ctx: &mut RunContext) {
                     &PerfectFixer::new(),
                     &mut rng,
                 );
-                let after = pair_pfd(&out.first, &out.second, &model, &w.profile);
+                let after = pair_pfd(&out.first, &out.second);
                 if (after - before).abs() >= 1e-15 {
                     pfd_changed += 1;
                 }

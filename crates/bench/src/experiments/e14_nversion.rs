@@ -9,7 +9,7 @@
 //! shared suite destroys.
 
 use diversim_core::difficulty::TestedDifficulty;
-use diversim_core::nversion::system_pfd_n;
+use diversim_core::structure::{structure_pfd, Structure};
 use diversim_core::testing_effect::TestingRegime;
 use diversim_testing::suite_population::enumerate_iid_suites;
 
@@ -72,12 +72,13 @@ fn run(ctx: &mut RunContext) {
                 let pops: Vec<&dyn TestedDifficulty> = (0..n_channels)
                     .map(|_| &w.pop_a as &dyn TestedDifficulty)
                     .collect();
-                vec![
-                    system_pfd_n(&pops, &m, &w.profile, TestingRegime::IndependentSuites)
-                        .expect("valid 1-out-of-N system"),
-                    system_pfd_n(&pops, &m, &w.profile, TestingRegime::SharedSuite)
-                        .expect("valid 1-out-of-N system"),
-                ]
+                let system = Structure::one_out_of_n(n_channels);
+                [TestingRegime::IndependentSuites, TestingRegime::SharedSuite]
+                    .map(|regime| {
+                        structure_pfd(&system, &pops, &m, &w.profile, regime)
+                            .expect("valid 1-out-of-N system")
+                    })
+                    .to_vec()
             },
         );
         let (ind, sh) = (cell.get(0), cell.get(1));

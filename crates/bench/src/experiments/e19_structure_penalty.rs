@@ -22,7 +22,6 @@
 //! Monte Carlo system campaigns (`sim` system scenarios, ±3·SE).
 
 use diversim_core::difficulty::TestedDifficulty;
-use diversim_core::nversion::system_pfd_n;
 use diversim_core::structure::{gate_moments, structure_pfd, Structure};
 use diversim_core::testing_effect::TestingRegime;
 use diversim_exact::verify::verify_structure;
@@ -164,33 +163,6 @@ fn run(ctx: &mut RunContext) {
     ctx.check(
         ratio_of("parallel-3") > ratio_of("2-of-3") && ratio_of("2-of-3") > ratio_of("series-3"),
         "the shared/independent ratio orders by redundancy: parallel > 2-of-3 > series",
-    );
-
-    // The retired flat path is a special case of the structure path —
-    // bit-for-bit, not approximately.
-    let flat = ctx.cell(
-        format!("world=small-graded|suite={SUITE}|tree=parallel-3|study=flat-wrapper"),
-        |_scope| {
-            let m = enumerate_iid_suites(&w.profile, SUITE, 1 << 16).expect("enumerable");
-            let pops: Vec<&dyn TestedDifficulty> =
-                (0..3).map(|_| &w.pop_a as &dyn TestedDifficulty).collect();
-            let structure = Structure::one_out_of_n(3);
-            let a = structure_pfd(
-                &structure,
-                &pops,
-                &m,
-                &w.profile,
-                TestingRegime::SharedSuite,
-            )
-            .expect("valid structure");
-            let b = system_pfd_n(&pops, &m, &w.profile, TestingRegime::SharedSuite)
-                .expect("valid system");
-            vec![(a.to_bits() == b.to_bits()) as u8 as f64]
-        },
-    );
-    ctx.check(
-        flat.get(0) == 1.0,
-        "structure_pfd(1-out-of-3) equals the flat N-version path bit for bit",
     );
 
     // ── Exact: per-gate coupling of the repeat-free trees ─────────────

@@ -3,11 +3,11 @@
 //! Each module holds one [`ExperimentSpec`](crate::spec::ExperimentSpec)
 //! static (`SPEC`) plus its `run` function; the registry
 //! (`crate::registry`) collects them and every front end — the
-//! `diversim` CLI and the thin `eNN_*` binaries — executes them through
-//! the engine (`crate::engine`). The modules contain the *entire*
-//! experiment logic; the old standalone binaries' sweep loops,
-//! replication counts and ad-hoc reporting all live here now, driven by
-//! the shared [`RunContext`](crate::spec::RunContext).
+//! `diversim` CLI, `diversim sweep` and the serve protocol — executes
+//! them through the engine (`crate::engine`). The modules contain the
+//! *entire* experiment logic: sweep loops, replication counts and
+//! reporting, driven by the shared
+//! [`RunContext`](crate::spec::RunContext).
 
 pub mod e01_el_model;
 pub mod e02_lm_model;

@@ -1,9 +1,9 @@
 //! A minimal JSON parse+emit module for the engine's own documents and
 //! the `diversim serve` wire protocol.
 //!
-//! The workspace's vendored `serde` is a no-op derive stub (the build
-//! image has no crates.io access), so both sides of the engine's JSON
-//! handling live here: a small recursive-descent parser covering
+//! The workspace builds offline without `serde_json`, so both sides of
+//! the engine's JSON handling live here: a small recursive-descent
+//! parser covering
 //! exactly the JSON the engine emits — objects, arrays, strings with
 //! escapes, numbers, booleans and null — and a strict, deterministic
 //! writer ([`Value::to_json`]) that the parser round-trips. The reader

@@ -1,5 +1,5 @@
 //! The experiment engine and shared infrastructure for the `diversim`
-//! reproduction campaign (E1–E16) and the Criterion benchmarks.
+//! reproduction campaign (E1–E20) and the Criterion benchmarks.
 //!
 //! Each registered experiment regenerates one numbered result of Popov &
 //! Littlewood (DSN 2004); see `EXPERIMENTS.md` at the workspace root for
@@ -11,8 +11,7 @@
 //! * [`registry`] — the ordered list of all twenty experiments;
 //! * [`engine`] — deterministic execution and JSON/CSV result rendering;
 //! * [`cli`] — the `diversim` binary (`list` / `run` / `sweep` /
-//!   `serve` / `report` / `docs`) and the entry point shared by the
-//!   thin `eNN_*` binaries;
+//!   `serve` / `report` / `docs`);
 //! * [`report`] — table rendering (text, TSV, CSV, JSON);
 //! * [`render`] — deterministic SVG line/band plots for the report book;
 //! * [`book`] — the reproduction report: `REPORT.md` + per-experiment

@@ -1,9 +1,9 @@
 //! The registry of all twenty experiments.
 //!
 //! One flat, ordered list of [`ExperimentSpec`]s is the single source
-//! of truth for the CLI, the thin `eNN_*` binaries, the CI smoke
-//! matrix, and the generated `EXPERIMENTS.md` index — none of them can
-//! drift from the others.
+//! of truth for the CLI, the serve protocol, the CI smoke matrix, and
+//! the generated `EXPERIMENTS.md` index — none of them can drift from
+//! the others.
 
 use crate::experiments;
 use crate::spec::ExperimentSpec;
@@ -61,12 +61,10 @@ pub fn experiments_md() -> String {
          $ cargo run --release -p diversim-bench --bin diversim -- run --all --fast --out results/\n\
          ```\n\
          \n\
-         or via its thin standalone binary (`cargo run --release -p\n\
-         diversim-bench --bin <name>`). Each run re-verifies the claim column's\n\
-         reproduction checks and, with `--out`, writes one JSON and one CSV\n\
-         result file per experiment.\n\
+         Each run re-verifies the claim column's reproduction checks and, with\n\
+         `--out`, writes one JSON and one CSV result file per experiment.\n\
          \n\
-         | id | slug | binary | paper result | claim | sweep | full MC budget |\n\
+         | id | slug | name | paper result | claim | sweep | full MC budget |\n\
          |---:|------|--------|--------------|-------|-------|---------------:|\n",
     );
     for spec in all() {
@@ -120,7 +118,7 @@ mod tests {
         let mut names: Vec<_> = specs.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 20, "binary names must be unique");
+        assert_eq!(names.len(), 20, "names must be unique");
     }
 
     #[test]
@@ -144,6 +142,6 @@ mod tests {
         for spec in all() {
             assert!(md.contains(spec.name), "missing {}", spec.name);
         }
-        assert!(md.contains("| id | slug | binary |"));
+        assert!(md.contains("| id | slug | name |"));
     }
 }

@@ -7,10 +7,8 @@
 //! mirror tables to `DIVERSIM_TSV_DIR` as TSV (the legacy plotting
 //! hook).
 //!
-//! The JSON writer is hand-rolled: the workspace's vendored `serde` is
-//! a no-op derive stub (the build image has no crates.io access), so
-//! the escaping lives here, in one audited place, until real
-//! `serde_json` is available.
+//! The JSON writer is hand-rolled: the workspace builds offline without
+//! `serde_json`, so the escaping lives here, in one audited place.
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -13,7 +13,7 @@
 //! * [`cache`] — the content-addressed LRU cache of prepared worlds;
 //! * [`service`] — request execution ([`service::EvaluationService`]),
 //!   including [`service::execute_experiment`], the single validated
-//!   entry the CLI and the `eNN_*` binaries share with the server;
+//!   entry the CLI shares with the server;
 //! * [`server`] — the stdin/stdout and TCP transports;
 //! * [`loadgen`] — the mixed-workload load generator recording
 //!   throughput and p50/p99 latency into `BENCH_serve_loadgen.json`.

@@ -7,10 +7,10 @@
 //! member order, stable escaping via [`crate::json::Value::to_json`]),
 //! so responses are byte-deterministic functions of the request.
 //!
-//! The same types are the internal API: `diversim run` and the twenty
-//! thin `eNN_*` binaries construct an [`ExperimentRequest`] and enter
-//! the engine through the exact code path the server dispatches to, so
-//! CLI, service and tests share one validated surface.
+//! The same types are the internal API: `diversim run` constructs an
+//! [`ExperimentRequest`] and enters the engine through the exact code
+//! path the server dispatches to, so CLI, service and tests share one
+//! validated surface.
 //!
 //! # Wire format (`diversim/v1`)
 //!
@@ -814,11 +814,11 @@ impl EvaluateRequest {
 }
 
 /// The body of a run-registered-experiment request — also the value
-/// `diversim run` and the thin `eNN_*` binaries construct internally,
-/// so every entry into the engine passes this validation.
+/// `diversim run` constructs internally, so every entry into the engine
+/// passes this validation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRequest {
-    /// Experiment key: slug (`"e01"`), binary name or id.
+    /// Experiment key: slug (`"e01"`), name (`"e01_el_model"`) or id.
     pub key: String,
     /// The replication profile to run under.
     pub profile: Profile,

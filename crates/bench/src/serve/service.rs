@@ -6,9 +6,8 @@
 //! immutable experiment registry): cache state, arrival order,
 //! connection interleaving and the service's thread count never change
 //! a response byte. [`execute_experiment`] is the experiment arm of the
-//! same surface — `diversim run` and the `eNN_*` binaries call it too,
-//! so a request rejected over the wire is rejected identically on the
-//! command line.
+//! same surface — `diversim run` calls it too, so a request rejected
+//! over the wire is rejected identically on the command line.
 
 use diversim_stats::seed::SeedSequence;
 
@@ -40,7 +39,7 @@ pub fn derive_root_seed(seed: u64, stream: u64) -> u64 {
 /// # Errors
 ///
 /// [`ServeError::UnknownExperiment`] if `request.key` is not a
-/// registered slug, binary name or id.
+/// registered slug, name or id.
 pub fn execute_experiment(
     request: &ExperimentRequest,
     threads: usize,
@@ -339,43 +338,50 @@ mod tests {
             r#","system":{"kind":"and","children":[{"kind":"component","index":0},"#,
             r#"{"kind":"component","index":1}]}"#
         );
-        let line = |id: &str, system: &str| {
-            format!(
-                concat!(
-                    r#"{{"api":"diversim/v1","id":"{}","kind":"evaluate","seed":11,"stream":3,"#,
-                    r#""world":{{"kind":"fixture","name":"small-graded"}},"regime":"shared","#,
-                    r#""suite_size":4,"replications":64,"study":"estimate"{}}}"#
-                ),
-                id, system
-            )
-        };
-        let service = EvaluationService::new(1, 2);
-        let base = service.handle_line(&line("s", and2));
-        let (id, ok) = EvaluationResponse::parse_status(&base).unwrap();
-        assert_eq!((id.as_str(), ok), ("s", true), "{base}");
-        let doc = json::parse(&base).unwrap();
-        let result = doc.get("result").unwrap();
-        assert_eq!(result.get("kind").and_then(Value::as_str), Some("system"));
-        assert_eq!(
-            result
-                .get("component_pfds")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(2)
-        );
-        // The two-component AND structure *is* the classic pair: its
-        // system pfd estimate matches the plain estimate study's bytes.
-        let pair = json::parse(&service.handle_line(&line("s", ""))).unwrap();
-        assert_eq!(
-            result.get("system_pfd"),
-            pair.get("result").unwrap().get("system_pfd"),
-            "and-2 must replay the pair estimate bit-for-bit"
-        );
-        // Thread count never changes a byte.
-        assert_eq!(
-            EvaluationService::new(8, 2).handle_line(&line("s", and2)),
-            base
-        );
+        // The generated world's disjoint regions span several demands
+        // each: the pair path must still add in ascending demand order.
+        for setup in [
+            r#""world":{"kind":"fixture","name":"small-graded"},"regime":"shared","suite_size":4"#,
+            concat!(
+                r#""world":{"kind":"generated","demands":64,"faults":4,"region_max":4,"#,
+                r#""zipf":0.8,"prop_lo":0.3,"prop_hi":0.9,"seed":0},"#,
+                r#""regime":"independent","suite_size":0"#
+            ),
+        ] {
+            let line = |system: &str| {
+                format!(
+                    concat!(
+                        r#"{{"api":"diversim/v1","id":"s","kind":"evaluate","seed":11,"stream":3,"#,
+                        r#"{},"replications":64,"study":"estimate"{}}}"#
+                    ),
+                    setup, system
+                )
+            };
+            let service = EvaluationService::new(1, 2);
+            let base = service.handle_line(&line(and2));
+            let (id, ok) = EvaluationResponse::parse_status(&base).unwrap();
+            assert_eq!((id.as_str(), ok), ("s", true), "{base}");
+            let doc = json::parse(&base).unwrap();
+            let result = doc.get("result").unwrap();
+            assert_eq!(result.get("kind").and_then(Value::as_str), Some("system"));
+            assert_eq!(
+                result
+                    .get("component_pfds")
+                    .and_then(Value::as_array)
+                    .map(<[Value]>::len),
+                Some(2)
+            );
+            // The two-component AND structure *is* the classic pair: its
+            // system pfd estimate matches the plain estimate study's bytes.
+            let pair = json::parse(&service.handle_line(&line(""))).unwrap();
+            assert_eq!(
+                result.get("system_pfd"),
+                pair.get("result").unwrap().get("system_pfd"),
+                "and-2 must replay the pair estimate bit-for-bit: {setup}"
+            );
+            // Thread count never changes a byte.
+            assert_eq!(EvaluationService::new(8, 2).handle_line(&line(and2)), base);
+        }
     }
 
     #[test]

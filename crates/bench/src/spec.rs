@@ -6,11 +6,8 @@
 //! function that executes it. The registry (`crate::registry`) lists
 //! all twenty; the engine (`crate::engine`) executes any of them
 //! through `sim::runner`'s deterministic-parallel primitives; the CLI
-//! (`crate::cli`) and the thin `eNN_*` binaries are fronts over that
-//! one code path.
-
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+//! (`crate::cli`) and the serve protocol are fronts over that one code
+//! path.
 
 use crate::report::Table;
 use crate::sweep::cell::{CellData, CellExecutor, CellId, CellScope};
@@ -22,7 +19,6 @@ use crate::sweep::cell::{CellData, CellExecutor, CellId, CellScope};
 /// written in terms of standard errors, so they widen automatically as
 /// budgets shrink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Profile {
     /// Tiny budgets (full/200, floor 50): exercises every code path in
     /// seconds. Claim checks are recorded but *not* enforced — at this

@@ -15,8 +15,7 @@
 //! | marginal system pfd under four regimes (eqs 22–25) | [`marginal`] |
 //! | §4.1 imperfect-testing bounds, §4.2 back-to-back bounds | [`bounds`] |
 //! | concrete-version system pfd (simulation support) | [`system`] |
-//! | 1-out-of-N generalisation (§5 extension) | [`nversion`] |
-//! | structure functions: k-of-n and AND/OR fault trees | [`structure`] |
+//! | 1-out-of-N (§5 extension), k-of-n and AND/OR fault trees | [`structure`] |
 //!
 //! The headline result reproduced here: testing two versions on a
 //! **shared** test suite couples their failures — the marginal system pfd
@@ -65,7 +64,6 @@ pub mod imperfect;
 pub mod lm;
 pub mod marginal;
 pub mod metrics;
-pub mod nversion;
 pub mod structure;
 pub mod system;
 pub mod testing_effect;
@@ -80,15 +78,11 @@ pub use imperfect::{marginal_imperfect_iid, xi_imperfect, zeta_imperfect_iid};
 pub use lm::LmAnalysis;
 pub use marginal::{shared_suite_penalty, MarginalAnalysis, SuiteAssignment};
 pub use metrics::{dependence_ratio, failure_correlation, jaccard_overlap, DiversityReport};
-pub use nversion::system_pfd_n;
 pub use structure::{
     fail_on_demand_independent, fail_on_demand_shared, gate_moments, structure_pfd, GateMoment,
     Structure,
 };
-pub use system::{
-    diversity_gain, pair_pfd, structure_failure_set, structure_system_pfd, system_failure_set,
-    system_pfd,
-};
+pub use system::{structure_failure_set, structure_system_pfd};
 pub use testing_effect::{
     joint_independent_suites, joint_on_demand, joint_shared_suite, JointOnDemand, TestingRegime,
 };

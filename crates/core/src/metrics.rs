@@ -124,7 +124,8 @@ pub fn dependence_ratio(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::pair_pfd;
+    use crate::structure::Structure;
+    use crate::system::structure_system_pfd;
     use diversim_universe::demand::DemandSpace;
     use diversim_universe::fault::{FaultId, FaultModelBuilder};
 
@@ -189,7 +190,8 @@ mod tests {
         assert!((r.jaccard - 1.0 / 3.0).abs() < 1e-12);
         assert!(r.correlation.abs() < 1e-12);
         assert!((r.dependence_ratio().unwrap() - 1.0).abs() < 1e-12);
-        assert!((r.joint_pfd - pair_pfd(&a, &b, &m, &q)).abs() < 1e-15);
+        let pair = structure_system_pfd(&Structure::one_out_of_n(2), &[&a, &b], &m, &q).unwrap();
+        assert!((r.joint_pfd - pair).abs() < 1e-15);
     }
 
     #[test]

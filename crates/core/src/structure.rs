@@ -1,8 +1,13 @@
 //! First-class **structure functions**: k-out-of-n and AND/OR fault trees
 //! over component failure indicators.
 //!
-//! The paper states every result for a flat 1-out-of-2 pair (and the §5
-//! 1-out-of-N in [`crate::nversion`]). This module generalises the system
+//! The paper states every result for a flat 1-out-of-2 pair, the
+//! [`Structure::one_out_of_n`]`(2)` of this module. A 1-out-of-N system
+//! fails on a demand only if all N versions fail: under independent
+//! suites conditional independence per demand survives (the §3.1
+//! argument iterates over any number of channels), so `P = Π_i ζ_i(x)`;
+//! under a shared suite the coupling of eq (20)/(21) becomes the N-fold
+//! mixed moment `E_Ξ[Π_i ξ_i(x, T)]`. This module generalises the system
 //! model to an arbitrary boolean composition of component failures — a
 //! [`Structure`] tree of [`Structure::And`], [`Structure::Or`] and
 //! [`Structure::KOutOfN`] gates over [`Structure::Component`] leaves — and
@@ -17,8 +22,7 @@
 //!    [`structure_pfd`]): the per-gate mixed moments `E_Ξ[f(ξ_1..ξ_n)]`
 //!    generalising eqs 15–21 — independent suites factorise per component,
 //!    a shared suite re-introduces the eq-20 coupling at every gate
-//!    ([`gate_moments`]). [`crate::nversion`] is the flat 1-out-of-N
-//!    wrapper.
+//!    ([`gate_moments`]).
 //! 3. **Brute-force enumeration** (`exact::brute::StructureEnsemble`,
 //!    downstream): assumption-free cross-products over version supports.
 //!
@@ -401,9 +405,7 @@ impl Structure {
 /// component is debugged on its **own** independently drawn suite from
 /// `measure`: per-component ζ values composed through the structure
 /// (conditional independence per demand survives per the §3.1 argument).
-///
-/// For `Structure::one_out_of_n` this is bit-for-bit
-/// [`crate::nversion::all_fail_on_demand_independent`].
+/// For [`Structure::one_out_of_n`] this is `Π_i ζ_i(x)`.
 pub fn fail_on_demand_independent(
     structure: &Structure,
     pops: &[&dyn TestedDifficulty],
@@ -421,10 +423,8 @@ pub fn fail_on_demand_independent(
 /// Joint probability that the system fails on demand `x` when **all**
 /// components are debugged on one shared suite: the structure-composed
 /// mixed moment `E_Ξ[f(ξ_1(x,T), …, ξ_n(x,T))]`, which re-introduces the
-/// eq-20 coupling at every gate.
-///
-/// For `Structure::one_out_of_n` this is bit-for-bit
-/// [`crate::nversion::all_fail_on_demand_shared`].
+/// eq-20 coupling at every gate. For [`Structure::one_out_of_n`] this is
+/// `E_Ξ[Π_i ξ_i(x, T)]`.
 pub fn fail_on_demand_shared(
     structure: &Structure,
     pops: &[&dyn TestedDifficulty],
@@ -454,9 +454,15 @@ pub fn fail_on_demand_shared(
 /// demand under the given testing regime:
 /// `Σ_x Q(x)·P(system fails on x | regime)`.
 ///
-/// Demands are accumulated in ascending order, so for
-/// `Structure::one_out_of_n` this is bit-for-bit
-/// [`crate::nversion::system_pfd_n`].
+/// Demands are accumulated in ascending order.
+///
+/// # Errors
+///
+/// [`CoreError::EmptyInput`] if `pops` is empty;
+/// [`CoreError::InvalidStructure`] if the tree is malformed or references
+/// a component index `≥ pops.len()`;
+/// [`CoreError::ModelMismatch`] if a population and the profile disagree
+/// on the demand space.
 pub fn structure_pfd(
     structure: &Structure,
     pops: &[&dyn TestedDifficulty],
@@ -833,8 +839,19 @@ mod tests {
         assert!(ind > 0.0 && ind < 1.0);
         assert!(sh > 0.0 && sh < 1.0);
         // Empty populations are a typed error, not a panic.
+        for regime in [TestingRegime::IndependentSuites, TestingRegime::SharedSuite] {
+            assert!(matches!(
+                structure_pfd(&s, &[], &m, &q, regime),
+                Err(CoreError::EmptyInput { .. })
+            ));
+        }
+        let x = DemandId::new(0);
         assert!(matches!(
-            structure_pfd(&s, &[], &m, &q, TestingRegime::SharedSuite),
+            fail_on_demand_independent(&s, &[], &m, x),
+            Err(CoreError::EmptyInput { .. })
+        ));
+        assert!(matches!(
+            fail_on_demand_shared(&s, &[], &m, x),
             Err(CoreError::EmptyInput { .. })
         ));
         // Structure referencing a missing component is typed too.
@@ -843,6 +860,94 @@ mod tests {
             structure_pfd(&wide, &pops, &m, &q, TestingRegime::SharedSuite),
             Err(CoreError::InvalidStructure { .. })
         ));
+        // So is a profile over another demand space.
+        let other = UsageProfile::uniform(DemandSpace::new(4).unwrap());
+        assert!(matches!(
+            structure_pfd(&s, &pops, &m, &other, TestingRegime::SharedSuite),
+            Err(CoreError::ModelMismatch { .. })
+        ));
+    }
+
+    /// `structure_pfd` of `pops` wired 1-out-of-n.
+    fn one_out_of_n_pfd(
+        pops: &[&dyn TestedDifficulty],
+        m: &ExplicitSuitePopulation,
+        q: &UsageProfile,
+        regime: TestingRegime,
+    ) -> f64 {
+        let s = Structure::one_out_of_n(pops.len());
+        structure_pfd(&s, pops, m, q, regime).unwrap()
+    }
+
+    #[test]
+    fn one_out_of_two_matches_the_pair_analysis() {
+        use crate::marginal::{MarginalAnalysis, SuiteAssignment};
+        let pop = singleton_pop(vec![0.3, 0.6]);
+        let q = UsageProfile::uniform(pop.model().space());
+        let m = enumerate_iid_suites(&q, 1, 64).unwrap();
+        let pops: Vec<&dyn TestedDifficulty> = vec![&pop, &pop];
+        for (regime, suites) in [
+            (
+                TestingRegime::IndependentSuites,
+                SuiteAssignment::independent(&m),
+            ),
+            (TestingRegime::SharedSuite, SuiteAssignment::Shared(&m)),
+        ] {
+            let pair = MarginalAnalysis::compute(&pop, &pop, suites, &q).system_pfd();
+            let tree = one_out_of_n_pfd(&pops, &m, &q, regime);
+            assert!((pair - tree).abs() < 1e-12, "{regime}: {pair} vs {tree}");
+        }
+    }
+
+    #[test]
+    fn more_channels_never_hurt() {
+        // 1-suites over [0.4, 0.7] in both regimes, and 2-suites over
+        // [0.2, 0.5, 0.8], where a shared suite must also never beat
+        // independent ones (the N-fold mixed moment over a common T
+        // exceeds the product of means: all ξ_i co-move in T).
+        let narrow = singleton_pop(vec![0.4, 0.7]);
+        let wide = singleton_pop(vec![0.2, 0.5, 0.8]);
+        for (pop, size) in [(&narrow, 1), (&wide, 2)] {
+            let q = UsageProfile::uniform(pop.model().space());
+            let m = enumerate_iid_suites(&q, size, 1 << 8).unwrap();
+            let mut prev = [f64::INFINITY; 2];
+            for n in 2..=4 {
+                let pops: Vec<&dyn TestedDifficulty> = vec![pop; n];
+                let ind = one_out_of_n_pfd(&pops, &m, &q, TestingRegime::IndependentSuites);
+                let sh = one_out_of_n_pfd(&pops, &m, &q, TestingRegime::SharedSuite);
+                assert!(ind <= prev[0] + 1e-15, "channel {n} hurt (independent)");
+                assert!(sh <= prev[1] + 1e-15, "channel {n} hurt (shared)");
+                assert!(sh + 1e-15 >= ind, "shared < independent for N={n}");
+                prev = [ind, sh];
+            }
+        }
+    }
+
+    #[test]
+    fn single_channel_equals_mean_tested_pfd() {
+        let pop = singleton_pop(vec![0.25, 0.75]);
+        let q = UsageProfile::uniform(pop.model().space());
+        let m = enumerate_iid_suites(&q, 1, 64).unwrap();
+        let pops: Vec<&dyn TestedDifficulty> = vec![&pop];
+        let one_ind = one_out_of_n_pfd(&pops, &m, &q, TestingRegime::IndependentSuites);
+        let one_sh = one_out_of_n_pfd(&pops, &m, &q, TestingRegime::SharedSuite);
+        // With one channel the regimes coincide: E over T of ξ.
+        assert!((one_ind - one_sh).abs() < 1e-12);
+        // ζ = (0.125, 0.375) → mean tested pfd = 0.25.
+        assert!((one_ind - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_strong_channel_slashes_the_pfd() {
+        // Mixed methodologies: a strong channel added to two weak ones.
+        let weak = singleton_pop(vec![0.5, 0.5]);
+        let strong = BernoulliPopulation::new(weak.model().clone(), vec![0.01, 0.01]).unwrap();
+        let q = UsageProfile::uniform(weak.model().space());
+        let m = enumerate_iid_suites(&q, 1, 64).unwrap();
+        let regime = TestingRegime::IndependentSuites;
+        let without = one_out_of_n_pfd(&[&weak, &weak], &m, &q, regime);
+        let with = one_out_of_n_pfd(&[&weak, &weak, &strong], &m, &q, regime);
+        assert!(with < without * 0.1, "strong channel should slash the pfd");
     }
 
     #[test]

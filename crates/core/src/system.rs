@@ -5,16 +5,13 @@
 //! > campaign) through failure-set algebra on the packed bitset kernel.
 //! > The **population-expectation** path — marginal pfds of version
 //! > *distributions* under the testing regimes — lives in
-//! > [`crate::nversion`] (flat 1-out-of-N) and [`crate::structure`]
-//! > (arbitrary trees). The two paths agree in expectation and are checked
-//! > against each other by `exact::brute` downstream.
+//! > [`crate::structure`]. The two paths agree in expectation and are
+//! > checked against each other by `exact::brute` downstream.
 //!
-//! The flat entry points ([`system_failure_set`], [`system_pfd`]) are the
-//! paper's 1-out-of-N adjudicated system — a system failure needs *every*
-//! version to fail (perfect adjudication, as assumed throughout the
-//! paper) — and are thin wrappers over [`Structure::one_out_of_n`].
-//! Arbitrary fault trees go through [`structure_failure_set`] /
-//! [`structure_system_pfd`].
+//! The paper's 1-out-of-N adjudicated system — a system failure needs
+//! *every* version to fail (perfect adjudication, as assumed throughout
+//! the paper) — is [`Structure::one_out_of_n`]; the pair is
+//! `Structure::one_out_of_n(2)`.
 
 use diversim_universe::bitset::BitSet;
 use diversim_universe::demand::DemandId;
@@ -62,59 +59,6 @@ pub fn structure_system_pfd(
         .sum())
 }
 
-/// The demands on which a 1-out-of-N system of the given versions fails:
-/// the intersection of the versions' failure sets
-/// ([`Structure::one_out_of_n`] as failure-set algebra).
-///
-/// # Errors
-///
-/// [`CoreError::EmptyInput`] if `versions` is empty.
-pub fn system_failure_set(versions: &[&Version], model: &FaultModel) -> Result<BitSet, CoreError> {
-    structure_failure_set(&Structure::one_out_of_n(versions.len()), versions, model)
-}
-
-/// Probability that a 1-out-of-2 system of two concrete versions fails on
-/// a random demand: `Σ_x υ(π₁,x)·υ(π₂,x)·Q(x)`.
-pub fn pair_pfd(v1: &Version, v2: &Version, model: &FaultModel, profile: &UsageProfile) -> f64 {
-    system_pfd(&[v1, v2], model, profile).expect("a pair always has two versions")
-}
-
-/// Probability that a 1-out-of-N system of concrete versions fails on a
-/// random demand (all versions fail simultaneously).
-///
-/// # Errors
-///
-/// [`CoreError::EmptyInput`] if `versions` is empty.
-pub fn system_pfd(
-    versions: &[&Version],
-    model: &FaultModel,
-    profile: &UsageProfile,
-) -> Result<f64, CoreError> {
-    structure_system_pfd(
-        &Structure::one_out_of_n(versions.len()),
-        versions,
-        model,
-        profile,
-    )
-}
-
-/// Reliability improvement factor of the pair over its better version:
-/// `min(pfd₁, pfd₂) / pair_pfd`. Returns `None` when the pair never fails
-/// (infinite improvement).
-pub fn diversity_gain(
-    v1: &Version,
-    v2: &Version,
-    model: &FaultModel,
-    profile: &UsageProfile,
-) -> Option<f64> {
-    let pair = pair_pfd(v1, v2, model, profile);
-    if pair == 0.0 {
-        return None;
-    }
-    let best = v1.pfd(model, profile).min(v2.pfd(model, profile));
-    Some(best / pair)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,50 +77,43 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn pair_fails_only_on_shared_demands() {
-        let m = model();
-        let q = UsageProfile::uniform(m.space());
-        let v1 = Version::from_faults(&m, [f(0), f(1)]);
-        let v2 = Version::from_faults(&m, [f(1), f(2)]);
-        // Intersection = {x1} → pair pfd = 0.25.
-        assert!((pair_pfd(&v1, &v2, &m, &q) - 0.25).abs() < 1e-12);
-        let fs = system_failure_set(&[&v1, &v2], &m).unwrap();
-        assert_eq!(fs.iter().collect::<Vec<_>>(), vec![1]);
+    /// The demands `structure` fails on, and its pfd under `q`.
+    fn evaluate(
+        structure: &Structure,
+        versions: &[&Version],
+        m: &FaultModel,
+        q: &UsageProfile,
+    ) -> (Vec<usize>, f64) {
+        let set = structure_failure_set(structure, versions, m).unwrap();
+        let pfd = structure_system_pfd(structure, versions, m, q).unwrap();
+        (set.iter().collect(), pfd)
     }
 
     #[test]
-    fn disjoint_versions_never_fail_together() {
-        let m = model();
-        let q = UsageProfile::uniform(m.space());
-        let v1 = Version::from_faults(&m, [f(0)]);
-        let v2 = Version::from_faults(&m, [f(3)]);
-        assert_eq!(pair_pfd(&v1, &v2, &m, &q), 0.0);
-        assert!(diversity_gain(&v1, &v2, &m, &q).is_none());
-    }
-
-    #[test]
-    fn identical_versions_give_no_diversity() {
-        let m = model();
-        let q = UsageProfile::uniform(m.space());
-        let v = Version::from_faults(&m, [f(0), f(2)]);
-        let pair = pair_pfd(&v, &v, &m, &q);
-        assert!((pair - v.pfd(&m, &q)).abs() < 1e-12);
-        assert!((diversity_gain(&v, &v, &m, &q).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_out_of_three_needs_all_to_fail() {
+    fn one_out_of_n_fails_only_where_every_version_fails() {
         let m = model();
         let q = UsageProfile::uniform(m.space());
         let v1 = Version::from_faults(&m, [f(0), f(1)]);
         let v2 = Version::from_faults(&m, [f(1), f(2)]);
         let v3 = Version::from_faults(&m, [f(1), f(3)]);
-        // All three share only x1.
-        assert!((system_pfd(&[&v1, &v2, &v3], &m, &q).unwrap() - 0.25).abs() < 1e-12);
-        // Adding a version can only help (intersection shrinks).
-        let v4 = Version::correct(&m);
-        assert_eq!(system_pfd(&[&v1, &v2, &v3, &v4], &m, &q).unwrap(), 0.0);
+        let pair = Structure::one_out_of_n(2);
+        // The pair shares only x1 → pair pfd = 0.25.
+        assert_eq!(evaluate(&pair, &[&v1, &v2], &m, &q), (vec![1], 0.25));
+        // All three share only x1 too.
+        let three = Structure::one_out_of_n(3);
+        assert_eq!(evaluate(&three, &[&v1, &v2, &v3], &m, &q), (vec![1], 0.25));
+        // Adding a version can only help (the intersection shrinks).
+        let four = Structure::one_out_of_n(4);
+        let correct = Version::correct(&m);
+        let (set, pfd) = evaluate(&four, &[&v1, &v2, &v3, &correct], &m, &q);
+        assert!(set.is_empty() && pfd == 0.0);
+        // Disjoint versions never fail together.
+        let a = Version::from_faults(&m, [f(0)]);
+        let b = Version::from_faults(&m, [f(3)]);
+        assert_eq!(evaluate(&pair, &[&a, &b], &m, &q).1, 0.0);
+        // Identical versions give no diversity.
+        let (_, same) = evaluate(&pair, &[&v1, &v1], &m, &q);
+        assert!((same - v1.pfd(&m, &q)).abs() < 1e-12);
     }
 
     #[test]
@@ -184,29 +121,21 @@ mod tests {
         let m = model();
         let q = UsageProfile::from_weights(m.space(), vec![0.1, 0.2, 0.3, 0.4]).unwrap();
         let v = Version::from_faults(&m, [f(1), f(3)]);
-        assert!((system_pfd(&[&v], &m, &q).unwrap() - v.pfd(&m, &q)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diversity_gain_quantifies_improvement() {
-        let m = model();
-        let q = UsageProfile::uniform(m.space());
-        let v1 = Version::from_faults(&m, [f(0), f(1)]); // pfd 0.5
-        let v2 = Version::from_faults(&m, [f(1), f(2)]); // pfd 0.5
-                                                         // Pair pfd 0.25; gain = 0.5 / 0.25 = 2.
-        assert!((diversity_gain(&v1, &v2, &m, &q).unwrap() - 2.0).abs() < 1e-12);
+        let (_, pfd) = evaluate(&Structure::one_out_of_n(1), &[&v], &m, &q);
+        assert!((pfd - v.pfd(&m, &q)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_system_is_a_typed_error() {
         let m = model();
+        let none = Structure::one_out_of_n(0);
         assert!(matches!(
-            system_failure_set(&[], &m),
+            structure_failure_set(&none, &[], &m),
             Err(CoreError::EmptyInput { .. })
         ));
         let q = UsageProfile::uniform(m.space());
         assert!(matches!(
-            system_pfd(&[], &m, &q),
+            structure_system_pfd(&none, &[], &m, &q),
             Err(CoreError::EmptyInput { .. })
         ));
     }
@@ -234,16 +163,5 @@ mod tests {
         let s = Structure::k_of_n(2, 3);
         let fs = structure_failure_set(&s, &[&v1, &v2, &v3], &m).unwrap();
         assert_eq!(fs.iter().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn structure_wrapper_matches_flat_path_bit_for_bit() {
-        let m = model();
-        let q = UsageProfile::from_weights(m.space(), vec![0.4, 0.1, 0.3, 0.2]).unwrap();
-        let v1 = Version::from_faults(&m, [f(0), f(1)]);
-        let v2 = Version::from_faults(&m, [f(1), f(2)]);
-        let flat = system_pfd(&[&v1, &v2], &m, &q).unwrap();
-        let tree = structure_system_pfd(&Structure::one_out_of_n(2), &[&v1, &v2], &m, &q).unwrap();
-        assert_eq!(flat.to_bits(), tree.to_bits());
     }
 }

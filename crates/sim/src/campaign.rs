@@ -16,9 +16,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_testing::oracle::IdenticalFailureModel;
 use diversim_testing::process::{back_to_back_debug, debug_version};
 use diversim_universe::version::Version;
@@ -28,7 +25,6 @@ use crate::scenario::Scenario;
 
 /// The testing regime a campaign runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum CampaignRegime {
     /// Each version debugged on its own independently generated suite.
     IndependentSuites,

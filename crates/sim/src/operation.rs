@@ -135,6 +135,8 @@ pub(crate) fn coverage(
 mod tests {
     use super::*;
     use crate::world::World;
+    use diversim_core::structure::Structure;
+    use diversim_core::system::structure_system_pfd;
     use diversim_universe::fault::FaultId;
 
     fn f(i: u32) -> FaultId {
@@ -160,7 +162,8 @@ mod tests {
         assert_eq!(log.demands, 10_000);
         assert!(log.system_failures <= log.failures_a.min(log.failures_b));
         // Empirical rates near the exact values.
-        let truth = diversim_core::system::pair_pfd(&a, &b, &m, s.profile());
+        let pair = Structure::one_out_of_n(2);
+        let truth = structure_system_pfd(&pair, &[&a, &b], &m, s.profile()).unwrap();
         assert!((log.system_pfd_estimate() - truth).abs() < 0.02);
     }
 

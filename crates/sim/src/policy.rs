@@ -33,9 +33,6 @@
 
 use rand::{Rng, RngCore};
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::Moments;
 use diversim_stats::stopping::{StoppingRule, StoppingState};
@@ -47,7 +44,6 @@ use crate::scenario::{Scenario, ScenarioError};
 /// value carried by [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive),
 /// hashed into sweep cell keys and sent over the serve wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum PolicySpec {
     /// Alternate versions by step parity: A, B, A, B, … — a pure
     /// function of the step index, blind to every observation.
@@ -125,7 +121,6 @@ impl std::fmt::Display for PolicySpec {
 
 /// Which version(s) receive the next test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Allocation {
     /// One private execution of version A (costs 1).
     VersionA,

@@ -15,7 +15,7 @@
 //! * the usage mass of every fault's failure region (`Σ_{x ∈ region(f)}
 //!   Q(x)`), the "fault-region × profile weights" table;
 //! * an [`EvalStrategy`] chosen once per world from the region
-//!   structure: pairwise-disjoint regions (which includes every
+//!   structure: one-demand regions ascending with the fault id (every
 //!   singleton world, the paper's abstract score model) decompose pfds
 //!   fault-by-fault with no set materialised at all; worlds whose total
 //!   region footprint is tiny relative to the space union explicit index
@@ -41,13 +41,15 @@ use diversim_universe::version::Version;
 /// [`Prepared::new`] time from the world's region structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalStrategy {
-    /// Regions are pairwise disjoint: pfds decompose fault-by-fault over
-    /// the precomputed region masses.
+    /// Every region is one demand, and the demands ascend with the fault
+    /// id: pfds decompose fault-by-fault over the precomputed region
+    /// masses, added in the same ascending-demand order as the kernel.
+    /// Wider regions, even disjoint ones, would regroup the additions.
     Disjoint,
-    /// Overlapping regions whose total size is at most one demand per
-    /// bit-set block (`Σ region sizes · 64 ≤ demands`): failure sets are
-    /// merged as sorted index lists, cheaper than touching every packed
-    /// block of a huge, almost-empty space.
+    /// Regions whose total size is at most one demand per bit-set block
+    /// (`Σ region sizes · 64 ≤ demands`): failure sets are merged as
+    /// sorted index lists, cheaper than touching every packed block of a
+    /// huge, almost-empty space.
     SparseUnion,
     /// General case: failure sets are materialised as packed bit sets
     /// and masses come from the block-major weighted-popcount kernel.
@@ -77,25 +79,18 @@ impl Prepared {
     /// sizes)` — paid once per scenario, not once per replication.
     pub fn new(model: Arc<FaultModel>, profile: UsageProfile) -> Self {
         let weights = profile.probabilities();
-        let fault_mass: Box<[f64]> = model
-            .fault_ids()
-            .map(|f| {
-                model
-                    .fault(f)
-                    .region()
-                    .iter()
-                    .map(|&x| weights[x.index()])
-                    .sum()
-            })
+        let regions: Vec<_> = model.fault_ids().map(|f| model.fault(f).region()).collect();
+        let fault_mass: Box<[f64]> = regions
+            .iter()
+            .map(|r| r.iter().map(|&x| weights[x.index()]).sum())
             .collect();
-        let disjoint = model.space().iter().all(|x| model.faults_at(x).len() <= 1);
-        let strategy = if disjoint {
+        // One-demand regions ascending with the fault id: adding their
+        // masses in fault order repeats the kernel's additions exactly.
+        let singletons = regions.iter().all(|r| r.len() == 1);
+        let strategy = if singletons && regions.windows(2).all(|w| w[0] < w[1]) {
             EvalStrategy::Disjoint
         } else {
-            let total_region: usize = model
-                .fault_ids()
-                .map(|f| model.fault(f).region_size())
-                .sum();
+            let total_region: usize = regions.iter().map(|r| r.len()).sum();
             if total_region * 64 <= model.space().len() {
                 EvalStrategy::SparseUnion
             } else {
@@ -216,10 +211,10 @@ impl Prepared {
     /// bit-set algebra of [`Structure::failure_set`] and weighed by the
     /// block-major kernel, so the result matches
     /// [`diversim_core::system::structure_system_pfd`] bit-for-bit
-    /// (same sets, same ascending-demand accumulation). The flat
-    /// specialisations stay on their fast paths: a 1-out-of-2 structure
-    /// gives exactly [`Prepared::pair_pfd`]'s value and a bare
-    /// component exactly [`Prepared::version_pfd`]'s.
+    /// (same sets, same ascending-demand accumulation). A 1-out-of-2
+    /// structure gives the value of [`Prepared::pair_pfd`] and a bare
+    /// component that of [`Prepared::version_pfd`], but not their cost:
+    /// this path builds every component's failure set on every strategy.
     ///
     /// # Panics
     ///
@@ -241,7 +236,7 @@ impl Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diversim_core::system::pair_pfd;
+    use diversim_core::system::structure_system_pfd;
     use diversim_universe::demand::{DemandId, DemandSpace};
     use diversim_universe::fault::{FaultId, FaultModelBuilder};
 
@@ -251,6 +246,12 @@ mod tests {
 
     fn f(i: u32) -> FaultId {
         FaultId::new(i)
+    }
+
+    /// The core crate's 1-out-of-2 system pfd, the reference every
+    /// strategy must match.
+    fn pair_pfd(a: &Version, b: &Version, model: &FaultModel, q: &UsageProfile) -> f64 {
+        structure_system_pfd(&Structure::one_out_of_n(2), &[a, b], model, q).unwrap()
     }
 
     #[test]
@@ -270,6 +271,16 @@ mod tests {
         assert_eq!(p.version_pfd(&a), a.pfd(&model, &q));
         assert_eq!(p.version_pfd(&b), b.pfd(&model, &q));
         assert_eq!(p.pair_pfd(&a, &b), pair_pfd(&a, &b, &model, &q));
+        // The same singletons numbered against the demand order would add
+        // the masses out of ascending demand order.
+        let descending = FaultModelBuilder::new(space)
+            .fault([d(3)])
+            .fault([d(2)])
+            .fault([d(1)])
+            .fault([d(0)])
+            .build()
+            .unwrap();
+        assert!(!Prepared::new(Arc::new(descending), q).disjoint_regions());
     }
 
     #[test]
@@ -297,8 +308,18 @@ mod tests {
         assert_eq!(p.pair_pfd(&a, &b), pair_pfd(&a, &b, &model, &q));
     }
 
+    /// Every version over the first `n` faults, one per fault subset.
+    fn all_versions(model: &FaultModel, n: u32) -> Vec<Version> {
+        (0u32..1 << n)
+            .map(|mask| Version::from_faults(model, (0..n).filter(|i| mask & (1 << i) != 0).map(f)))
+            .collect()
+    }
+
     #[test]
     fn disjoint_multi_demand_regions_match_exact_values() {
+        // Disjoint but wider than one demand: summing region masses would
+        // regroup the ascending-demand additions, so the world leaves the
+        // fault-by-fault path and matches the exact values bit for bit.
         let space = DemandSpace::new(6).unwrap();
         let model = Arc::new(
             FaultModelBuilder::new(space)
@@ -310,16 +331,11 @@ mod tests {
         );
         let q = UsageProfile::zipf(space, 0.7).unwrap();
         let p = Prepared::new(Arc::clone(&model), q.clone());
-        assert!(p.disjoint_regions());
-        for mask in 0u32..8 {
-            let faults: Vec<FaultId> = (0..3)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| f(i as u32))
-                .collect();
-            let v = Version::from_faults(&model, faults);
-            assert!((p.version_pfd(&v) - v.pfd(&model, &q)).abs() < 1e-15);
-            let w = Version::from_faults(&model, [f(1)]);
-            assert!((p.pair_pfd(&v, &w) - pair_pfd(&v, &w, &model, &q)).abs() < 1e-15);
+        assert_eq!(p.strategy(), EvalStrategy::DenseBlocks);
+        let w = Version::from_faults(&model, [f(1)]);
+        for v in all_versions(&model, 3) {
+            assert_eq!(p.version_pfd(&v), v.pfd(&model, &q));
+            assert_eq!(p.pair_pfd(&v, &w), pair_pfd(&v, &w, &model, &q));
         }
     }
 
@@ -380,49 +396,60 @@ mod tests {
     fn structure_pfd_flat_cases_match_the_fast_paths() {
         // On every strategy, the structure kernel's degenerate shapes
         // (bare component, 1-out-of-2) land on exactly the values the
-        // specialised fast paths produce.
-        let worlds: Vec<Prepared> = vec![
-            {
-                let space = DemandSpace::new(4).unwrap();
-                let model = Arc::new(
-                    FaultModelBuilder::new(space)
-                        .singleton_faults()
-                        .build()
-                        .unwrap(),
-                );
-                Prepared::new(
-                    model,
-                    UsageProfile::from_weights(space, vec![0.1, 0.2, 0.3, 0.4]).unwrap(),
-                )
-            },
-            {
-                let space = DemandSpace::new(4).unwrap();
-                let model = Arc::new(
-                    FaultModelBuilder::new(space)
-                        .fault([d(0), d(1), d(2)])
-                        .fault([d(1), d(2), d(3)])
-                        .build()
-                        .unwrap(),
-                );
-                Prepared::new(model, UsageProfile::zipf(space, 0.5).unwrap())
-            },
+        // specialised fast paths produce, for every version pair. The
+        // regions {0,1,2}, {3,4} and {5..8} are disjoint but wider than
+        // one demand, so summing their masses would regroup the kernel's
+        // ascending-demand additions; they run under eight Zipf profiles.
+        let space = DemandSpace::new(4).unwrap();
+        let singletons = FaultModelBuilder::new(space).singleton_faults();
+        let overlapping = FaultModelBuilder::new(space)
+            .fault([d(0), d(1), d(2)])
+            .fault([d(1), d(2), d(3)]);
+        let mut worlds: Vec<Prepared> = vec![
+            Prepared::new(
+                Arc::new(singletons.build().unwrap()),
+                UsageProfile::from_weights(space, vec![0.1, 0.2, 0.3, 0.4]).unwrap(),
+            ),
+            Prepared::new(
+                Arc::new(overlapping.build().unwrap()),
+                UsageProfile::zipf(space, 0.5).unwrap(),
+            ),
         ];
+        let wide_space = DemandSpace::new(9).unwrap();
+        let wide = Arc::new(
+            FaultModelBuilder::new(wide_space)
+                .fault([d(0), d(1), d(2)])
+                .fault([d(3), d(4)])
+                .fault([d(5), d(6), d(7), d(8)])
+                .build()
+                .unwrap(),
+        );
+        for step in 0..8 {
+            let q = UsageProfile::zipf(wide_space, 0.3 + 0.2 * f64::from(step)).unwrap();
+            worlds.push(Prepared::new(Arc::clone(&wide), q));
+        }
+        let and2 = Structure::one_out_of_n(2);
+        let solo = Structure::component(0);
         for p in &worlds {
-            let model = Arc::clone(p.model());
-            let a = Version::from_faults(&model, [f(0)]);
-            let b = Version::from_faults(&model, [f(1)]);
-            let and2 = Structure::one_out_of_n(2);
-            assert_eq!(p.structure_pfd(&[&a, &b], &and2), p.pair_pfd(&a, &b));
-            let solo = Structure::component(0);
-            assert_eq!(p.structure_pfd(&[&a], &solo), p.version_pfd(&a));
+            let versions = all_versions(p.model(), p.model().fault_count() as u32);
+            for a in &versions {
+                for b in &versions {
+                    assert_eq!(
+                        p.structure_pfd(&[a, b], &and2),
+                        p.pair_pfd(a, b),
+                        "{:?} pair {:?} / {:?}",
+                        p.profile().probabilities(),
+                        a.faults().collect::<Vec<_>>(),
+                        b.faults().collect::<Vec<_>>()
+                    );
+                }
+                assert_eq!(p.structure_pfd(&[a], &solo), p.version_pfd(a));
+            }
         }
     }
 
     #[test]
     fn structure_pfd_matches_core_path_bit_for_bit() {
-        use diversim_core::structure::Structure;
-        use diversim_core::system::structure_system_pfd;
-
         let space = DemandSpace::new(6).unwrap();
         let model = Arc::new(
             FaultModelBuilder::new(space)

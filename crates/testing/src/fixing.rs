@@ -13,9 +13,6 @@
 
 use rand::{Rng, RngCore};
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_universe::demand::DemandId;
 use diversim_universe::fault::FaultModel;
 use diversim_universe::version::Version;
@@ -43,7 +40,6 @@ pub trait Fixer: std::fmt::Debug + Send + Sync {
 
 /// The perfect fixer of §3: removes every fault of `π ∩ O_x`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PerfectFixer;
 
 impl PerfectFixer {
@@ -73,7 +69,6 @@ impl Fixer for PerfectFixer {
 /// independently with probability `fix_prob`; no new faults are ever
 /// introduced.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ImperfectFixer {
     fix_prob: f64,
 }

@@ -10,9 +10,6 @@
 
 use rand::{Rng, RngCore};
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_universe::demand::DemandId;
 
 use crate::error::TestingError;
@@ -32,7 +29,6 @@ pub trait Oracle: std::fmt::Debug + Send + Sync {
 
 /// The perfect oracle of §3: every failure is detected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PerfectOracle;
 
 impl PerfectOracle {
@@ -55,7 +51,6 @@ impl Oracle for PerfectOracle {
 /// The imperfect oracle of §4.1: each failing execution is detected
 /// independently with probability `detect_prob`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ImperfectOracle {
     detect_prob: f64,
 }
@@ -97,7 +92,6 @@ impl Oracle for ImperfectOracle {
 /// easier to judge than others) — an extension beyond the paper's global
 /// imperfection parameter.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PerDemandOracle {
     detect_probs: Vec<f64>,
 }
@@ -148,7 +142,6 @@ impl Oracle for PerDemandOracle {
 /// * [`IdenticalFailureModel::Bernoulli`] — each coincident failure is
 ///   identical with probability `γ`, interpolating between the bounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum IdenticalFailureModel {
     /// Coincident failures always mismatch (optimistic).
     Never,

@@ -12,9 +12,6 @@
 
 use rand::RngCore;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_universe::fault::FaultModel;
 use diversim_universe::version::Version;
 
@@ -24,7 +21,6 @@ use crate::suite::TestSuite;
 
 /// Counters describing one debugging campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DebugLog {
     /// Demands executed.
     pub demands_run: u64,
@@ -119,7 +115,6 @@ pub fn debug_version(
 
 /// Counters describing one back-to-back campaign over a version pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BackToBackLog {
     /// Demands executed (once per pair).
     pub demands_run: u64,

@@ -6,9 +6,6 @@
 //! the outcome of perfect testing (a fault survives iff its failure region
 //! misses the suite entirely), so both views are kept.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_universe::bitset::BitSet;
 use diversim_universe::demand::{DemandId, DemandSpace};
 
@@ -29,7 +26,6 @@ use crate::error::TestingError;
 /// assert!(!t.contains(DemandId::new(0)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TestSuite {
     space: DemandSpace,
     demands: Vec<DemandId>,

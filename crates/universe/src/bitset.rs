@@ -5,9 +5,6 @@
 //! that are unioned, intersected and counted in the inner loops of the
 //! simulator, so they get a dedicated bit set rather than `HashSet`.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 const BITS: usize = 64;
 
 /// A fixed-capacity set of `usize` values in `[0, capacity)`, stored as a
@@ -26,7 +23,6 @@ const BITS: usize = 64;
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 97]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BitSet {
     blocks: Vec<u64>,
     capacity: usize,

@@ -17,16 +17,12 @@
 //! versions, and both reduce diversity: after the event the versions agree
 //! (correctly or incorrectly) on the affected demands.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use crate::error::UniverseError;
 use crate::fault::{FaultId, FaultModel};
 use crate::version::Version;
 
 /// A common-cause event applied to every version of a development effort.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum CommonCauseEvent {
     /// A clarification propagated to all teams: the listed faults are
     /// removed from every version (those that contain them).

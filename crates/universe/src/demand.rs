@@ -5,9 +5,6 @@
 //! Demands are identified by dense indices so the rest of the system can
 //! use flat arrays and bit sets.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use crate::error::UniverseError;
 
 /// Identifier of a demand: an index into a [`DemandSpace`].
@@ -20,7 +17,6 @@ use crate::error::UniverseError;
 /// assert_eq!(x.index(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DemandId(u32);
 
 impl DemandId {
@@ -58,7 +54,6 @@ impl std::fmt::Display for DemandId {
 /// distinct type (rather than a bare `usize`) lets constructors validate
 /// demand references once and APIs state their domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DemandSpace {
     size: u32,
 }

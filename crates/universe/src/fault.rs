@@ -11,16 +11,12 @@
 //! abstract per-demand score model (no cross-demand fixing cascades);
 //! larger regions produce exactly the `O_x`/`D_X` cascade discussed in §3.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use crate::bitset::BitSet;
 use crate::demand::{DemandId, DemandSpace};
 use crate::error::UniverseError;
 
 /// Identifier of a potential fault: an index into a [`FaultModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultId(u32);
 
 impl FaultId {
@@ -55,7 +51,6 @@ impl std::fmt::Display for FaultId {
 /// One potential fault: the set of demands (its *failure region*) on which
 /// a version containing the fault fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Fault {
     region: Vec<DemandId>,
 }
@@ -100,7 +95,6 @@ impl Fault {
 /// order, so every kernel mass computed through a `RegionSet` is
 /// bit-identical whichever representation was chosen.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum RegionSet {
     /// Sorted, deduplicated demand indices (few-demand regions).
     Sparse(Box<[u32]>),
@@ -228,7 +222,6 @@ impl RegionSet {
 /// assert_eq!(model.faults_at(DemandId::new(1)).len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultModel {
     space: DemandSpace,
     faults: Vec<Fault>,

@@ -9,9 +9,6 @@ use std::sync::Arc;
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use crate::demand::{DemandId, DemandSpace};
 use crate::error::UniverseError;
 use crate::fault::{Fault, FaultModel, FaultModelBuilder};
@@ -21,7 +18,6 @@ use crate::universe::Universe;
 
 /// Distribution of failure-region sizes for generated faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum RegionSize {
     /// Every fault covers exactly this many demands.
     Fixed(usize),
@@ -62,7 +58,6 @@ impl RegionSize {
 
 /// Shape of the usage distribution for generated universes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ProfileKind {
     /// Uniform usage over all demands.
     Uniform,
@@ -72,7 +67,6 @@ pub enum ProfileKind {
 
 /// Shape of per-fault propensities for generated Bernoulli populations.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum PropensityKind {
     /// Every fault equally likely.
     Constant(f64),
@@ -123,7 +117,6 @@ impl PropensityKind {
 /// assert_eq!(universe.model().fault_count(), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct UniverseSpec {
     /// Number of demands in the space.
     pub n_demands: usize,

@@ -19,9 +19,6 @@ use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_stats::alias::AliasSampler;
 
 use crate::bitset::BitSet;
@@ -178,21 +175,9 @@ impl Population for ExplicitPopulation {
 /// assert!((pop.theta(DemandId::new(0)) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BernoulliPopulation {
-    #[cfg_attr(feature = "serde", serde(skip, default = "empty_model"))]
     model: Arc<FaultModel>,
     propensities: Vec<f64>,
-}
-
-#[cfg(feature = "serde")]
-// Referenced by name from the `serde(default = "empty_model")` helper
-// attribute above; the vendored no-op derive expands to nothing, so the
-// reference is invisible to rustc until real serde is patched back in.
-#[allow(dead_code)]
-fn empty_model() -> Arc<FaultModel> {
-    use crate::demand::DemandSpace;
-    Arc::new(FaultModel::new(DemandSpace::new(1).expect("non-zero"), vec![]).expect("valid"))
 }
 
 impl BernoulliPopulation {

@@ -7,9 +7,6 @@
 
 use rand::Rng;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use diversim_stats::alias::AliasSampler;
 
 use crate::demand::{DemandId, DemandSpace};
@@ -28,11 +25,9 @@ use crate::error::UniverseError;
 /// assert!((q.probability(diversim_universe::demand::DemandId::new(0)) - 0.25).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct UsageProfile {
     space: DemandSpace,
     probabilities: Vec<f64>,
-    #[cfg_attr(feature = "serde", serde(skip, default))]
     sampler: Option<AliasSampler>,
 }
 

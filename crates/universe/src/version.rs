@@ -5,9 +5,6 @@
 //! fails on `x`, 0 otherwise — is then: `π` fails on `x` iff it contains
 //! at least one fault of `O_x`.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use crate::bitset::BitSet;
 use crate::demand::DemandId;
 use crate::fault::{FaultId, FaultModel};
@@ -36,7 +33,6 @@ use crate::profile::UsageProfile;
 /// assert!(!v.fails_on(&model, DemandId::new(1)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Version {
     faults: BitSet,
 }

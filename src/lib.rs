@@ -69,7 +69,8 @@ pub mod prelude {
     pub use diversim_core::el::ElAnalysis;
     pub use diversim_core::lm::LmAnalysis;
     pub use diversim_core::marginal::{MarginalAnalysis, SuiteAssignment};
-    pub use diversim_core::system::{pair_pfd, system_pfd};
+    pub use diversim_core::structure::Structure;
+    pub use diversim_core::system::structure_system_pfd;
     pub use diversim_core::testing_effect::TestingRegime;
     pub use diversim_exact::verify::verify_pair;
     pub use diversim_sim::campaign::CampaignRegime;
