@@ -1,86 +1,38 @@
-//! Scaling of the lock-free execution layer across worker threads.
+//! Scaling of the runner's one fold, `parallel_reduce`, across worker
+//! threads — the path every Monte Carlo study runs.
 //!
-//! Two job granularities bracket the design space:
+//! Two job granularities bracket what the studies fold:
 //!
-//! * **small** — a few dozen nanoseconds of pure arithmetic per
-//!   replication. This is the regime where result hand-off cost
-//!   dominates: the retired global-mutex runner (kept here as the
-//!   `mutex` baseline) serialises every worker on one lock and loses
-//!   badly, while the lock-free runner's atomic chunk claiming plus
-//!   disjoint slot writes keep scaling.
-//! * **large** — a full campaign replication (`Scenario::run`) of tens
-//!   of microseconds, where any hand-off scheme amortises and the bench
-//!   measures genuine compute scaling (and motivates the 16-thread cap
-//!   of `default_threads`).
+//! * **small** — 65,536 replications (64 blocks of 1024) of a few dozen
+//!   nanoseconds of pure arithmetic each, folded into `Moments`. This is
+//!   the regime where the runner's own cost shows: block claiming, the
+//!   per-block fold and the block-order merge.
+//! * **large** — 16,384 full campaign replications (`Scenario::run`,
+//!   16 blocks of 1024), folding the system pfd into `Moments` as
+//!   `Scenario::estimate` does. Sixteen blocks give every thread count
+//!   work, so the bench measures genuine compute scaling (and motivates
+//!   the 16-thread cap of `default_threads`).
 //!
 //! Thread counts sweep 1/2/4/8/16. Run measured (not `--test`) with
 //! `DIVERSIM_BENCH_JSON=BENCH_runner_scaling.json` to archive the
 //! trajectory, as the CI `bench-measure` job does.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use diversim_bench::worlds::medium_cascade;
-use diversim_sim::runner::parallel_replications;
+use diversim_sim::runner::parallel_reduce;
+use diversim_stats::reduce::Moments;
 use diversim_stats::seed::SeedSequence;
-
-/// The retired hot-path design: every result funnels through one global
-/// `Mutex<Vec<Option<T>>>`. Kept verbatim (minus panic handling) as the
-/// ablation baseline so the scaling gap stays measurable.
-fn mutex_parallel_replications<T, F>(
-    replications: u64,
-    seeds: SeedSequence,
-    threads: usize,
-    job: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64, u64) -> T + Sync,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    let n = usize::try_from(replications).expect("replication count fits in usize");
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.min(n);
-    if threads == 1 {
-        return (0..replications)
-            .map(|i| job(i, seeds.seed_for(0, i)))
-            .collect();
-    }
-    let counter = AtomicU64::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= replications {
-                    break;
-                }
-                let result = job(i, seeds.seed_for(0, i));
-                slots.lock().expect("slot lock poisoned")[i as usize] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("slot lock poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every index claimed exactly once"))
-        .collect()
-}
 
 /// A deliberately tiny job body: a short integer-mix loop, no
 /// allocation, ~tens of nanoseconds.
-fn small_job(i: u64, seed: u64) -> u64 {
+fn small_job(i: u64, seed: u64) -> f64 {
     let mut z = seed ^ i.rotate_left(32);
     for _ in 0..8 {
         z = z.wrapping_mul(0x2545_F491_4F6C_DD1D);
         z ^= z >> 29;
     }
-    z
+    z as f64
 }
 
 fn scaling_small_job(c: &mut Criterion) {
@@ -88,21 +40,10 @@ fn scaling_small_job(c: &mut Criterion) {
     let mut group = c.benchmark_group("runner_scaling/small_job");
     for threads in [1usize, 2, 4, 8, 16] {
         group.bench_with_input(
-            BenchmarkId::new("lockfree", threads),
+            BenchmarkId::new("reduce", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(parallel_replications(65_536, seeds, threads, small_job)))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("mutex", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(mutex_parallel_replications(
-                        65_536, seeds, threads, small_job,
-                    ))
-                })
+                b.iter(|| black_box(parallel_reduce(65_536, seeds, threads, &Moments, small_job)))
             },
         );
     }
@@ -121,15 +62,10 @@ fn scaling_large_job(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8, 16] {
         group.bench_with_input(
-            BenchmarkId::new("lockfree", threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(parallel_replications(512, seeds, threads, job))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("mutex", threads),
+            BenchmarkId::new("reduce", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(mutex_parallel_replications(512, seeds, threads, job)))
+                b.iter(|| black_box(parallel_reduce(16_384, seeds, threads, &Moments, job)))
             },
         );
     }

@@ -9,7 +9,7 @@
 //! in all four §3.1/§3.2 regimes.
 
 use diversim_core::difficulty::zeta;
-use diversim_exact::brute;
+use diversim_exact::brute::TestedEnsemble;
 use diversim_testing::suite_population::enumerate_iid_suites;
 use diversim_universe::population::Population;
 use diversim_universe::profile::UsageProfile;
@@ -65,21 +65,20 @@ fn run(ctx: &mut RunContext) {
         let max_err = ctx
             .cell(format!("regime=eq16|world=small-graded|n={n}"), |_scope| {
                 let m = enumerate_iid_suites(&w.profile, n, 1 << 14).expect("enumerable");
+                // Scoped, as in the other regimes' cells: the ensemble is
+                // freed before the cell's result is allocated, so its memory
+                // can go back to the system instead of sitting under it.
+                let brute_joint = {
+                    let ens = TestedEnsemble::new(&support, &m, w.pop_a.model());
+                    ens.joint_vector_independent(&ens)
+                };
                 let max_err = w
                     .profile
                     .space()
                     .iter()
                     .map(|x| {
-                        let brute_joint = brute::joint_on_demand_independent(
-                            &support,
-                            &support,
-                            &m,
-                            &m,
-                            w.pop_a.model(),
-                            x,
-                        );
                         let z = zeta(&w.pop_a, x, &m);
-                        (brute_joint - z * z).abs()
+                        (brute_joint[x.index()] - z * z).abs()
                     })
                     .fold(0.0, f64::max);
                 vec![max_err]
@@ -103,21 +102,15 @@ fn run(ctx: &mut RunContext) {
                 format!("regime=eq17|world=mirrored(0.5,0.05)|n={n}"),
                 |_scope| {
                     let m = enumerate_iid_suites(&wf.profile, n, 1 << 14).expect("enumerable");
+                    let brute_joint = TestedEnsemble::new(&sa, &m, wf.pop_a.model())
+                        .joint_vector_independent(&TestedEnsemble::new(&sb, &m, wf.pop_a.model()));
                     let max_err = wf
                         .profile
                         .space()
                         .iter()
                         .map(|x| {
-                            let brute_joint = brute::joint_on_demand_independent(
-                                &sa,
-                                &sb,
-                                &m,
-                                &m,
-                                wf.pop_a.model(),
-                                x,
-                            );
                             let z = zeta(&wf.pop_a, x, &m) * zeta(&wf.pop_b, x, &m);
-                            (brute_joint - z).abs()
+                            (brute_joint[x.index()] - z).abs()
                         })
                         .fold(0.0, f64::max);
                     vec![max_err]
@@ -144,21 +137,19 @@ fn run(ctx: &mut RunContext) {
                 |_scope| {
                     let ma = enumerate_iid_suites(&w.profile, n, 1 << 14).expect("enumerable");
                     let mb = enumerate_iid_suites(&debug_profile, n, 1 << 14).expect("enumerable");
+                    let brute_joint = TestedEnsemble::new(&support, &ma, w.pop_a.model())
+                        .joint_vector_independent(&TestedEnsemble::new(
+                            &support,
+                            &mb,
+                            w.pop_a.model(),
+                        ));
                     let max_err = w
                         .profile
                         .space()
                         .iter()
                         .map(|x| {
-                            let brute_joint = brute::joint_on_demand_independent(
-                                &support,
-                                &support,
-                                &ma,
-                                &mb,
-                                w.pop_a.model(),
-                                x,
-                            );
                             let z = zeta(&w.pop_a, x, &ma) * zeta(&w.pop_a, x, &mb);
-                            (brute_joint - z).abs()
+                            (brute_joint[x.index()] - z).abs()
                         })
                         .fold(0.0, f64::max);
                     vec![max_err]
@@ -189,21 +180,17 @@ fn run(ctx: &mut RunContext) {
                     )
                     .expect("enumerable");
                     let ma8 = enumerate_iid_suites(&wf.profile, n, 1 << 14).expect("enumerable");
+                    let brute_joint =
+                        TestedEnsemble::new(&sa, &ma8, wf.pop_a.model()).joint_vector_independent(
+                            &TestedEnsemble::new(&sb, &mb8, wf.pop_a.model()),
+                        );
                     let max_err = wf
                         .profile
                         .space()
                         .iter()
                         .map(|x| {
-                            let brute_joint = brute::joint_on_demand_independent(
-                                &sa,
-                                &sb,
-                                &ma8,
-                                &mb8,
-                                wf.pop_a.model(),
-                                x,
-                            );
                             let z = zeta(&wf.pop_a, x, &ma8) * zeta(&wf.pop_b, x, &mb8);
-                            (brute_joint - z).abs()
+                            (brute_joint[x.index()] - z).abs()
                         })
                         .fold(0.0, f64::max);
                     vec![max_err]

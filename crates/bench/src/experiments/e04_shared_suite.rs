@@ -54,6 +54,7 @@ fn run(ctx: &mut RunContext) {
         |_scope| {
             let m = enumerate_iid_suites(&w.profile, suite_size, 1 << 14).expect("enumerable");
             let support = w.pop_a.enumerate(1 << 12).expect("enumerable");
+            let brute_joint = brute::joint_vector_shared(&support, &support, &m, w.pop_a.model());
             let mut values = Vec::new();
             for x in w.profile.space().iter() {
                 let joint = joint_shared_suite(&w.pop_a, &w.pop_a, &m, x);
@@ -63,7 +64,7 @@ fn run(ctx: &mut RunContext) {
                     joint.independent,
                     joint.coupling,
                     joint.total(),
-                    brute::joint_on_demand_shared(&support, &support, &m, w.pop_a.model(), x),
+                    brute_joint[x.index()],
                 ]);
             }
             values

@@ -58,6 +58,7 @@ fn run_world(
             let m = enumerate_iid_suites(&world.profile, suite_size, 1 << 14).expect("enumerable");
             let sa = world.pop_a.enumerate(1 << 12).expect("enumerable");
             let sb = world.pop_b.enumerate(1 << 12).expect("enumerable");
+            let brute_joint = brute::joint_vector_shared(&sa, &sb, &m, world.pop_a.model());
             let mut values = Vec::new();
             for x in world.profile.space().iter() {
                 let joint = joint_shared_suite(&world.pop_a, &world.pop_b, &m, x);
@@ -65,7 +66,7 @@ fn run_world(
                     joint.independent,
                     joint.coupling,
                     joint.total(),
-                    brute::joint_on_demand_shared(&sa, &sb, &m, world.pop_a.model(), x),
+                    brute_joint[x.index()],
                     zeta(&world.pop_a, x, &m) * zeta(&world.pop_b, x, &m),
                 ]);
             }

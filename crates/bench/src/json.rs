@@ -143,6 +143,15 @@ fn format_number(n: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest valid
+/// wire request, a `system` chain of
+/// [`MAX_STRUCTURE_NODES`](crate::serve::request::MAX_STRUCTURE_NODES)
+/// nodes (255 `and` gates over one component), nests 512 levels; past
+/// the cap the parser returns an error instead of recursing towards a
+/// stack overflow, staying far below the depth a 2 MiB thread stack
+/// survives.
+pub const MAX_DEPTH: usize = 1024;
+
 /// A parse failure: what went wrong and at which byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -165,9 +174,14 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] locating the first malformed byte.
+/// Returns a [`ParseError`] locating the first malformed byte, or the
+/// first bracket nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { input, pos: 0 };
+    let mut parser = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
@@ -180,6 +194,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -227,8 +243,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -236,6 +252,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an object or array one level deeper, refusing to open
+    /// more than [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -413,11 +444,27 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "tru", "1 2", "{]"] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        let too_deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let unclosed = "[".repeat(400_000);
+        for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "tru", "1 2", "{]"]
+            .into_iter()
+            .chain([too_deep.as_str(), unclosed.as_str()])
+        {
+            assert!(
+                parse(bad).is_err(),
+                "{:?} should fail",
+                &bad[..bad.len().min(16)]
+            );
         }
         let err = parse("[1, oops]").unwrap_err();
         assert!(err.to_string().contains("at byte"));
+        // Nesting fails at the first bracket past the cap, as an error;
+        // exactly the cap still parses.
+        let err = parse(&unclosed).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

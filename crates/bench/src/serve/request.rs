@@ -1371,6 +1371,24 @@ mod tests {
         let reparsed = EvaluationRequest::parse(&req.to_json()).unwrap();
         assert_eq!(req, reparsed);
 
+        // The deepest valid request: MAX_STRUCTURE_NODES nodes as 255
+        // `and` gates over one component nest 512 levels, inside the
+        // parser's depth cap.
+        let mut chain = SystemSpec::Component { index: 0 };
+        for _ in 1..MAX_STRUCTURE_NODES {
+            chain = SystemSpec::And {
+                children: vec![chain],
+            };
+        }
+        let mut deepest = req.clone();
+        if let RequestKind::Evaluate(evaluate) = &mut deepest.kind {
+            evaluate.system = Some(chain);
+        }
+        assert_eq!(
+            EvaluationRequest::parse(&deepest.to_json()).unwrap(),
+            deepest
+        );
+
         let growth = EvaluationRequest {
             id: "g".into(),
             seed: 1,

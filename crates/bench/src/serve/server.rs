@@ -111,18 +111,25 @@ mod tests {
     #[test]
     fn line_loop_answers_and_skips_blanks() {
         let service = EvaluationService::new(1, 2);
-        let input = concat!(
+        // A nesting bomb gets an error line and the loop keeps answering.
+        let input = [
             r#"{"api":"diversim/v1","id":"a","kind":"ping"}"#,
             "\n\n   \n",
-            "garbage\n"
-        );
+            "garbage\n",
+            &"[".repeat(400_000),
+            "\n",
+            r#"{"api":"diversim/v1","id":"b","kind":"ping"}"#,
+        ]
+        .concat();
         let mut output = Vec::new();
         serve_lines(&service, input.as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
+        assert_eq!(lines.len(), 4, "{text}");
         assert!(lines[0].contains(r#""id":"a","ok":true"#));
         assert!(lines[1].contains(r#""ok":false"#));
+        assert!(lines[2].contains(r#""ok":false"#) && lines[2].contains("nesting"));
+        assert!(lines[3].contains(r#""id":"b","ok":true"#));
     }
 
     #[test]
@@ -130,11 +137,20 @@ mod tests {
         let service = Arc::new(EvaluationService::new(1, 2));
         let (addr, _handle) = spawn_tcp(service, "127.0.0.1:0").unwrap();
         let mut stream = TcpStream::connect(addr).unwrap();
+        // A nesting bomb first: its error line must not cost the
+        // connection its next answer.
+        stream.write_all("[".repeat(8_000).as_bytes()).unwrap();
         stream
-            .write_all(b"{\"api\":\"diversim/v1\",\"id\":\"t\",\"kind\":\"ping\"}\n")
+            .write_all(b"\n{\"api\":\"diversim/v1\",\"id\":\"t\",\"kind\":\"ping\"}\n")
             .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains(r#""ok":false"#) && line.contains("nesting"),
+            "{line}"
+        );
+        line.clear();
         reader.read_line(&mut line).unwrap();
         assert_eq!(
             line.trim_end(),

@@ -194,6 +194,9 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
         assert!(matches!(store.load(&id), CellLoad::Corrupt(_)));
+        // A nesting bomb in place of the cell is corrupt too, not an abort.
+        std::fs::write(&path, "[".repeat(400_000)).unwrap();
+        assert!(matches!(store.load(&id), CellLoad::Corrupt(_)));
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

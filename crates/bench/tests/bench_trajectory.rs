@@ -258,6 +258,23 @@ fn scenario_overhead_trajectory_covers_both_sides() {
     }
 }
 
+/// The runner_scaling trajectory must keep both job sizes of the
+/// `parallel_reduce` fold at every thread count the scaling curve (and
+/// `default_threads`' 16-thread cap) is read from.
+#[test]
+fn runner_scaling_trajectory_covers_both_jobs_at_every_thread_count() {
+    let ids = trajectory_ids("BENCH_runner_scaling.json");
+    for job in ["small_job", "large_job"] {
+        for threads in [1, 2, 4, 8, 16] {
+            let wanted = format!("runner_scaling/{job}/reduce/{threads}");
+            assert!(
+                ids.contains(&wanted),
+                "trajectory lost the {wanted} measurement"
+            );
+        }
+    }
+}
+
 /// The kernel_scaling trajectory must carry both sides of the
 /// comparison the README quotes: the packed-kernel path and the retired
 /// per-demand baseline, for every region profile.

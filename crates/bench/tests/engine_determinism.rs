@@ -10,7 +10,7 @@ use diversim_bench::spec::Profile;
 /// the Monte Carlo replications run on 1 thread or 8 — the ISSUE-2
 /// acceptance criterion for deterministic parallelism. `e06` covers
 /// `Scenario::estimate` and `e08` additionally `merged_estimate`, both
-/// batching through `parallel_accumulate_n`.
+/// folding tuples of `Moments` through `parallel_reduce`.
 #[test]
 fn engine_output_is_byte_identical_for_1_and_8_threads() {
     for key in ["e06", "e08"] {

@@ -6,9 +6,14 @@
 //! paths and a checker that compares them:
 //!
 //! * [`brute`] — assumption-free expectations: enumerate every
-//!   `(version, suite)` pair with its probability, run the mechanistic
-//!   debugging process from `diversim-testing`, and sum score products
-//!   (the raw definition, equation (15));
+//!   `(version, suite)` combination with its probability, run the
+//!   mechanistic debugging process from `diversim-testing` once per
+//!   combination, and sum score products per demand (the raw
+//!   definition, equation (15)) — one form per identity: ζ
+//!   ([`TestedEnsemble::zeta_vector`]), the independent-suite joint
+//!   ([`TestedEnsemble::joint_vector_independent`]), the shared-suite
+//!   joint ([`joint_vector_shared`]) and the adaptive joint
+//!   ([`joint_on_demand_adaptive`]);
 //! * [`verify`] — compares those sums against the closed-form /
 //!   decomposition path of `diversim-core` for equations (14), (16)/(17),
 //!   (20)/(21), (22)/(24) and (23)/(25), plus the `θ ≥ ζ` ordering.
@@ -43,9 +48,8 @@ pub mod brute;
 pub mod verify;
 
 pub use brute::{
-    joint_on_demand_adaptive, joint_on_demand_independent, joint_on_demand_shared,
-    joint_vector_shared, marginal_adaptive, marginal_independent, marginal_shared,
-    structure_joint_vector_shared, structure_marginal_shared, zeta_brute, zeta_brute_vector,
-    StructureEnsemble, TestedEnsemble,
+    joint_on_demand_adaptive, joint_vector_shared, marginal_adaptive, marginal_independent,
+    marginal_shared, structure_joint_vector_shared, structure_marginal_shared, StructureEnsemble,
+    TestedEnsemble,
 };
 pub use verify::{verify_pair, verify_structure, IdentityCheck, TheoremReport};

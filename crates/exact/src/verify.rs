@@ -107,13 +107,13 @@ pub fn verify_pair(
     let model = pop_a.model();
     let mut checks = Vec::new();
 
-    // The brute sides below all run through the packed [`TestedEnsemble`]
-    // vector kernels: each `(version, suite)` combination is debugged
-    // once and its weight scattered over its failure set, instead of
-    // re-running the debugging process per demand. The scatter order is
-    // arranged so every usage-weighted sum is bit-identical to the
-    // retired per-demand enumeration (zero terms are IEEE no-ops on
-    // these non-negative accumulations).
+    // The brute sides below run through the vector forms of
+    // [`brute`]: each `(version, suite)` combination is debugged once
+    // and its weight folded over its failure set, instead of re-running
+    // the debugging process per demand. Every demand adds its nonzero
+    // terms in the per-demand definition's order, so each usage-weighted
+    // sum is bit-identical to that definition (zero terms are IEEE
+    // no-ops on these non-negative accumulations).
     let ens_a = brute::TestedEnsemble::new(support_a, measure, model);
     let ens_b = brute::TestedEnsemble::new(support_b, measure, model);
 

@@ -1,27 +1,25 @@
-//! Exactness of the packed-kernel brute-force paths on a million-demand
-//! space.
+//! Exactness of the brute-force vector forms on a million-demand space.
 //!
-//! The retired per-demand enumeration re-ran the debugging process once
-//! per demand, which made 10⁶-demand spaces unreachable. The
-//! [`diversim_exact::TestedEnsemble`] kernels debug each `(version,
-//! suite)` combination once and scatter its weight over the packed
-//! failure set, so the same assumption-free sums stay exact — and fast
-//! enough for a debug-mode test — at 10⁶ demands. This test pins both
-//! properties: agreement with the closed forms of `diversim-core` and
-//! bit-identical agreement with the per-demand definitions on spot
-//! demands (including the final partial block of the space).
+//! A per-demand enumeration re-runs the debugging process once per
+//! demand, which makes 10⁶-demand spaces unreachable. The
+//! [`diversim_exact::TestedEnsemble`] forms debug each `(version,
+//! suite)` combination once and fold its weight over its failure set,
+//! so the same assumption-free sums stay exact — and fast enough for a
+//! debug-mode test — at 10⁶ demands. This test pins both properties:
+//! agreement with the closed forms of `diversim-core` and bit-identical
+//! agreement with naive per-demand loops on spot demands (including the
+//! final partial block of the space).
 
 use std::sync::Arc;
 
 use diversim_core::difficulty::zeta;
-use diversim_exact::{
-    joint_on_demand_shared, joint_vector_shared, marginal_independent, zeta_brute,
-    zeta_brute_vector, TestedEnsemble,
-};
+use diversim_exact::brute::Support;
+use diversim_exact::{joint_vector_shared, marginal_independent, TestedEnsemble};
+use diversim_testing::process::perfect_debug;
 use diversim_testing::suite::TestSuite;
 use diversim_testing::suite_population::ExplicitSuitePopulation;
 use diversim_universe::demand::{DemandId, DemandSpace};
-use diversim_universe::fault::FaultModelBuilder;
+use diversim_universe::fault::{FaultModel, FaultModelBuilder};
 use diversim_universe::population::{BernoulliPopulation, Population};
 use diversim_universe::profile::UsageProfile;
 
@@ -54,6 +52,37 @@ fn world() -> (
     (model, pop, q)
 }
 
+/// `ζ(x) = Σ_π Σ_t υ(π,x,t)·S(π)·M(t)` on one demand, re-debugging every
+/// combination (equation (14) read literally).
+fn naive_zeta(support: &Support, m: &ExplicitSuitePopulation, model: &FaultModel, i: usize) -> f64 {
+    let mut total = 0.0;
+    for (v, p) in support {
+        for (t, q) in m.iter() {
+            total += perfect_debug(v, t, model).score(model, d(i)) * p * q;
+        }
+    }
+    total
+}
+
+/// The shared-suite joint `Σ_t M(t)·Σ_{π₁} Σ_{π₂} υ·υ·S(π₁)·S(π₂)` on
+/// one demand, re-debugging every combination.
+fn naive_joint_shared(
+    support: &Support,
+    m: &ExplicitSuitePopulation,
+    model: &FaultModel,
+    i: usize,
+) -> f64 {
+    let mut total = 0.0;
+    for (t, qt) in m.iter() {
+        let fail: f64 = support
+            .iter()
+            .map(|(v, p)| perfect_debug(v, t, model).score(model, d(i)) * p)
+            .sum();
+        total += qt * fail * fail;
+    }
+    total
+}
+
 /// A three-suite measure: no testing, a front-region hit, and a suite
 /// covering both ends of the space.
 fn measure(space: DemandSpace) -> ExplicitSuitePopulation {
@@ -69,15 +98,15 @@ fn zeta_kernel_is_exact_at_a_million_demands() {
     let m = measure(model.space());
     let support = pop.enumerate(16).unwrap();
 
-    let zv = zeta_brute_vector(&support, &m, &model);
+    let zv = TestedEnsemble::new(&support, &m, &model).zeta_vector();
     assert_eq!(zv.len(), N);
 
     // Spot demands: inside each region, on the overlap, in the final
     // partial block, and far outside any region.
     let spots = [100, 103, 104, 109, N - 5, N - 1, 110, N / 2];
     for i in spots {
-        // Bit-identical to the retired per-demand definition.
-        assert_eq!(zv[i], zeta_brute(&support, &m, &model, d(i)));
+        // Bit-identical to the per-demand definition.
+        assert_eq!(zv[i], naive_zeta(&support, &m, &model, i));
         // And equal to the closed form within rounding.
         let closed = zeta(&pop, d(i), &m);
         assert!(
@@ -106,7 +135,7 @@ fn joint_kernels_are_exact_at_a_million_demands() {
     let jv_ind = ens.joint_vector_independent(&ens);
     let jv_sh = joint_vector_shared(&support, &support, &m, &model);
 
-    let zv = zeta_brute_vector(&support, &m, &model);
+    let zv = ens.zeta_vector();
     for i in [100, 104, 107, N - 5, N - 1, N / 2] {
         // Independent suites factorise: joint(x) = ζ(x)² (equation 16).
         assert!(
@@ -114,10 +143,7 @@ fn joint_kernels_are_exact_at_a_million_demands() {
             "eq16 violated at {i}"
         );
         // Shared-suite joint matches its per-demand definition bit for bit.
-        assert_eq!(
-            jv_sh[i],
-            joint_on_demand_shared(&support, &support, &m, &model, d(i))
-        );
+        assert_eq!(jv_sh[i], naive_joint_shared(&support, &m, &model, i));
         // Shared testing can only increase the joint failure probability.
         assert!(jv_sh[i] + 1e-15 >= jv_ind[i]);
     }

@@ -9,6 +9,7 @@
 use diversim_core::marginal::MarginalAnalysis;
 use diversim_stats::ci::{normal_mean, Interval};
 use diversim_stats::online::MeanVar;
+use diversim_stats::reduce::Moments;
 
 use crate::scenario::Scenario;
 
@@ -76,15 +77,16 @@ impl PairEstimates {
     }
 }
 
-/// The body behind [`Scenario::estimate`]: replicated campaigns batched
+/// The body behind [`Scenario::estimate`]: replicated campaigns folded
 /// straight into the three moment accumulators, so no per-replication
 /// outcome (with its full `Version` payloads) is ever materialised.
 /// Deterministic in `(scenario.seeds(), replications)` regardless of
 /// `threads`.
 pub(crate) fn estimate(scenario: &Scenario, replications: u64, threads: usize) -> PairEstimates {
-    let [acc_a, acc_b, acc_sys] = scenario.accumulate_n::<3, _>(replications, threads, |seed| {
+    let reducer = (Moments, Moments, Moments);
+    let (acc_a, acc_b, acc_sys) = scenario.reduce(replications, threads, &reducer, |seed| {
         let o = scenario.run(seed);
-        [o.first_pfd, o.second_pfd, o.system_pfd]
+        (o.first_pfd, o.second_pfd, o.system_pfd)
     });
     PairEstimates {
         version_a_pfd: Estimate::from_accumulator(&acc_a),

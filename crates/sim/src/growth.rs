@@ -275,15 +275,16 @@ pub(crate) fn merged_estimate(
     replications: u64,
     threads: usize,
 ) -> MergedEstimates {
-    let [ind_sys, mrg_sys, ind_ver, mrg_ver] =
-        scenario.accumulate_n::<4, _>(replications, threads, |seed| {
+    let reducer = (Moments, Moments, Moments, Moments);
+    let (ind_sys, mrg_sys, ind_ver, mrg_ver) =
+        scenario.reduce(replications, threads, &reducer, |seed| {
             let c = merged_comparison(scenario, n, seed);
-            [
+            (
                 c.independent_system,
                 c.merged_system,
                 c.independent_version,
                 c.merged_version,
-            ]
+            )
         });
     MergedEstimates {
         independent_system: Estimate::from_accumulator(&ind_sys),

@@ -33,10 +33,11 @@
 //! * [`scenario::Scenario::mistakes`] /
 //!   [`scenario::Scenario::clarifications`] — the §5 common-cause
 //!   extensions ([`common_cause`]);
-//! * [`runner`] — the lock-free deterministic parallel substrate:
-//!   workers claim index chunks from an atomic counter, write disjoint
-//!   pre-allocated slots, and stream observables through composable
-//!   [`diversim_stats::reduce::Reducer`]s; results are bit-identical
+//! * [`runner`] — the lock-free deterministic parallel substrate, one
+//!   fold ([`runner::parallel_reduce`]): workers claim blocks of
+//!   replications from an atomic counter, fold each through a composable
+//!   [`diversim_stats::reduce::Reducer`] into its own pre-allocated
+//!   slot, and merge the slots in block order; results are bit-identical
 //!   for any thread count and job panics re-raise with their
 //!   replication index.
 //!
@@ -87,9 +88,6 @@ pub use policy::{
     Allocation, AllocationProfile, PolicySignals, PolicySpec, PolicyStep, PolicyStudy, PolicyTrace,
     TestPolicy,
 };
-pub use runner::{
-    default_threads, parallel_accumulate, parallel_accumulate_n, parallel_reduce,
-    parallel_replications,
-};
+pub use runner::{default_threads, parallel_reduce};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, SeedPolicy};
 pub use world::World;

@@ -4,43 +4,36 @@
 //! parallelism destroys reproducibility (results depend on scheduling).
 //! Here every replication `i` derives its seed purely from `(root seed,
 //! i)` via [`SeedSequence`], so the *values* are schedule-independent by
-//! construction; the runner's job is to execute them fast and put them
-//! back in index order without ever serialising the workers.
+//! construction; the runner's job is to fold them fast, in a fixed
+//! order, without ever serialising the workers. [`parallel_reduce`] is
+//! its one entry point: every replicated study streams its observables
+//! through a [`Reducer`] (tuples of reducers fold several observables
+//! in one pass).
 //!
 //! # Execution model
 //!
-//! * **Chunk claiming** — workers claim fixed-size index chunks from one
-//!   shared atomic counter (`fetch_add`), the only point of inter-thread
-//!   communication on the hot path. A chunk is large enough to amortise
-//!   the atomic increment, small enough to balance ragged job bodies.
-//! * **Disjoint slot writes** — results land in pre-allocated
-//!   per-index (or per-block) slots. Index ranges of distinct chunks are
-//!   disjoint, so every slot is written by exactly one worker exactly
-//!   once: plain unsynchronised stores through an `UnsafeCell`, no
-//!   mutex, no per-item locking, no false sharing on a lock word. (An
-//!   earlier design funnelled every result through one global
-//!   `Mutex<Vec<Option<T>>>`; the `runner_scaling` bench records how
-//!   badly that loses at small job granularity.)
+//! * **Block claiming** — workers claim blocks of `ACCUMULATE_BLOCK`
+//!   (1024) consecutive replications from one shared atomic counter
+//!   (`fetch_add`), the only point of inter-thread communication on the
+//!   hot path.
+//! * **Disjoint slot writes** — each block's accumulator lands in its
+//!   own pre-allocated slot. Every slot is written by exactly one worker
+//!   exactly once: plain unsynchronised stores through an `UnsafeCell`,
+//!   no mutex, no per-item locking.
 //! * **Panic semantics** — each job runs under `catch_unwind`. The
 //!   first panic (lowest replication index among those observed) aborts
-//!   further chunk claiming and is re-raised after all workers drain,
+//!   further block claiming and is re-raised after all workers drain,
 //!   carrying its replication index *and* the original message for
 //!   `&str`/`String` payloads (other payload types are re-raised
-//!   verbatim). Sibling workers never raise secondary panics — the old
-//!   design poisoned its mutex and crashed siblings with a misleading
-//!   `"slot lock poisoned"` panic that masked the real failure.
+//!   verbatim). Sibling workers never raise secondary panics.
 //!
 //! # Determinism contract
 //!
-//! [`parallel_replications`] returns values in index order, so it is a
-//! pure function of `(replications, seeds, job)`. The folding entry
-//! points ([`parallel_reduce`], [`parallel_accumulate_n`],
-//! [`parallel_accumulate`]) fold *blocks* of `ACCUMULATE_BLOCK` (1024)
-//! consecutive replications in index order and merge block accumulators
-//! in block order, so the result — including floating-point rounding —
-//! is bit-identical for any thread count, including 1. The block size
-//! is therefore part of the output contract: changing it changes
-//! low-order bits of every streamed estimate.
+//! Each block is folded in index order and the block accumulators are
+//! merged in block order, so the result — including floating-point
+//! rounding — is bit-identical for any thread count, including 1. The
+//! block size is therefore part of the output contract: changing it
+//! changes low-order bits of every streamed estimate.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -48,18 +41,10 @@ use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use diversim_stats::online::MeanVar;
-use diversim_stats::reduce::{MomentsArray, Reducer};
+use diversim_stats::reduce::Reducer;
 use diversim_stats::seed::SeedSequence;
 
-/// Replication indices claimed per `fetch_add` in
-/// [`parallel_replications`]: the work-stealing granule, shrunk at run
-/// time when there are fewer than `workers × chunk` replications so
-/// every worker still gets work. Purely a throughput knob — results
-/// are written to per-index slots, so the output does not depend on it.
-const REPLICATION_CHUNK: u64 = 64;
-
-/// Replications per accumulation block in the folding entry points.
+/// Replications per accumulation block.
 ///
 /// Blocks are the unit of work claiming *and* of floating-point
 /// accumulation: each block is folded in index order and blocks are
@@ -71,12 +56,12 @@ const ACCUMULATE_BLOCK: u64 = 1024;
 /// Pre-allocated write-once result slots shared across workers.
 ///
 /// Safety protocol: slot `i` is written at most once, by the worker
-/// that claimed the chunk containing `i`, and only read (`into_vec`)
-/// after all workers have joined with no panic — i.e. after every slot
-/// has been written. On the panic path the slots are dropped as raw
-/// `MaybeUninit` storage, which leaks any already-written values; this
-/// is deliberate (we cannot know which slots were written) and
-/// confined to a path that unwinds with the original job panic.
+/// that claimed block `i`, and only read (`into_vec`) after all workers
+/// have joined with no panic — i.e. after every slot has been written.
+/// On the panic path the slots are dropped as raw `MaybeUninit`
+/// storage, which leaks any already-written values; this is deliberate
+/// (we cannot know which slots were written) and confined to a path
+/// that unwinds with the original job panic.
 struct Slots<T> {
     cells: Vec<UnsafeCell<MaybeUninit<T>>>,
 }
@@ -105,7 +90,7 @@ impl<T> Slots<T> {
 
     /// # Safety
     ///
-    /// Every slot must have been written (all chunks completed).
+    /// Every slot must have been written (all blocks completed).
     unsafe fn into_vec(self) -> Vec<T> {
         self.cells
             .into_iter()
@@ -142,13 +127,13 @@ fn raise(p: JobPanic) -> ! {
     resume_unwind(payload)
 }
 
-/// The shared worker loop: `threads` scoped workers claim chunk indices
-/// `0..n_chunks` from an atomic counter and run `work` on each. If any
+/// The worker loop: `threads` scoped workers claim block indices
+/// `0..n_blocks` from an atomic counter and run `work` on each. If any
 /// `work` reports a [`JobPanic`], further claiming stops and the panic
 /// with the lowest replication index among those observed is re-raised
 /// after every worker has drained — exactly one panic, never a
 /// secondary one.
-fn drive_workers<F>(n_chunks: u64, threads: usize, work: F)
+fn drive_workers<F>(n_blocks: u64, threads: usize, work: F)
 where
     F: Fn(u64) -> Result<(), JobPanic> + Sync,
 {
@@ -162,11 +147,11 @@ where
                         if abort.load(Ordering::Relaxed) {
                             return None;
                         }
-                        let chunk = counter.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= n_chunks {
+                        let block = counter.fetch_add(1, Ordering::Relaxed);
+                        if block >= n_blocks {
                             return None;
                         }
-                        if let Err(panic) = work(chunk) {
+                        if let Err(panic) = work(block) {
                             abort.store(true, Ordering::Relaxed);
                             return Some(panic);
                         }
@@ -193,78 +178,6 @@ where
     });
 }
 
-/// Runs `replications` jobs, each receiving `(index, seed)`, across
-/// `threads` worker threads, returning results in index order.
-///
-/// The result is a pure function of `(replications, seeds, job)` — thread
-/// count only affects wall-clock time. Workers claim index chunks (64,
-/// shrunk when replications are scarce relative to workers) from an
-/// atomic counter and write each result into its own pre-allocated
-/// slot; no lock is taken anywhere.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or re-raises the first job panic with its
-/// replication index (see the [module docs](self) for the exact
-/// semantics).
-///
-/// # Examples
-///
-/// ```
-/// use diversim_sim::runner::parallel_replications;
-/// use diversim_stats::seed::SeedSequence;
-///
-/// let seeds = SeedSequence::new(42);
-/// let one = parallel_replications(8, seeds, 1, |i, seed| (i, seed));
-/// let four = parallel_replications(8, seeds, 4, |i, seed| (i, seed));
-/// assert_eq!(one, four);
-/// ```
-pub fn parallel_replications<T, F>(
-    replications: u64,
-    seeds: SeedSequence,
-    threads: usize,
-    job: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64, u64) -> T + Sync,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    let n = usize::try_from(replications).expect("replication count fits in usize");
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n);
-    if workers == 1 {
-        return (0..replications)
-            .map(|i| run_job(i, || job(i, seeds.seed_for(0, i))).unwrap_or_else(|p| raise(p)))
-            .collect();
-    }
-    // Shrink the chunk when there are too few replications to hand every
-    // worker at least one full-size chunk: expensive-job workloads with
-    // small replication counts would otherwise idle most threads. Safe
-    // because the chunk size only shapes claiming, never the output.
-    let chunk = REPLICATION_CHUNK
-        .min(replications.div_ceil(workers as u64))
-        .max(1);
-    let n_chunks = replications.div_ceil(chunk);
-    let slots: Slots<T> = Slots::new(n);
-    drive_workers(n_chunks, workers, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(replications);
-        for i in lo..hi {
-            let value = run_job(i, || job(i, seeds.seed_for(0, i)))?;
-            // SAFETY: i lies in chunk `chunk`, claimed by this worker
-            // alone, and each index is visited once.
-            unsafe { slots.write(i as usize, value) };
-        }
-        Ok(())
-    });
-    // SAFETY: drive_workers returned normally, so every chunk — hence
-    // every slot — completed.
-    unsafe { slots.into_vec() }
-}
-
 /// Runs `replications` jobs and folds their observables through a
 /// [`Reducer`] without materialising per-replication results.
 ///
@@ -277,8 +190,7 @@ where
 /// `O(blocks)` instead of `O(replications)`.
 ///
 /// Reducers compose (tuples, [`ElementWise`]), so one pass can stream
-/// any mix of moments, extrema, histograms and counts; see
-/// [`diversim_stats::reduce`].
+/// any mix of moments, sums and counts; see [`diversim_stats::reduce`].
 ///
 /// [`ElementWise`]: diversim_stats::reduce::ElementWise
 ///
@@ -291,16 +203,17 @@ where
 ///
 /// ```
 /// use diversim_sim::runner::parallel_reduce;
-/// use diversim_stats::reduce::{MinMax, Moments};
+/// use diversim_stats::reduce::{Count, Moments};
 /// use diversim_stats::seed::SeedSequence;
 ///
 /// let seeds = SeedSequence::new(3);
-/// let reducer = (Moments, MinMax);
-/// let job = |i: u64, _seed: u64| (i as f64, i as f64);
+/// let reducer = (Moments, Count);
+/// let job = |i: u64, _seed: u64| (i as f64, i % 2 == 0);
 /// let one = parallel_reduce(5000, seeds, 1, &reducer, job);
 /// let eight = parallel_reduce(5000, seeds, 8, &reducer, job);
 /// assert_eq!(one, eight);
-/// assert_eq!(one.1.max(), Some(4999.0));
+/// assert_eq!(one.0.mean(), 2499.5);
+/// assert_eq!(one.1, 2500);
 /// ```
 pub fn parallel_reduce<R, F>(
     replications: u64,
@@ -353,67 +266,6 @@ where
         .expect("at least one block")
 }
 
-/// Runs `replications` scalar-vector jobs and folds them into `K`
-/// streaming [`MeanVar`] accumulators without materialising the
-/// per-replication results.
-///
-/// This is [`parallel_reduce`] specialised to a
-/// [`MomentsArray`]`::<K>` reducer — the batching primitive behind the
-/// experiment engine: a campaign job maps `(index, seed)` to `K`
-/// observables (say version pfds and the system pfd), and the runner
-/// returns one accumulator per observable, bit-identical for any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or re-raises the first job panic with its
-/// replication index.
-///
-/// # Examples
-///
-/// ```
-/// use diversim_sim::runner::parallel_accumulate_n;
-/// use diversim_stats::seed::SeedSequence;
-///
-/// let seeds = SeedSequence::new(9);
-/// let one = parallel_accumulate_n::<2, _>(2000, seeds, 1, |i, _| [i as f64, 1.0]);
-/// let four = parallel_accumulate_n::<2, _>(2000, seeds, 4, |i, _| [i as f64, 1.0]);
-/// assert_eq!(one, four);
-/// assert_eq!(one[1].mean(), 1.0);
-/// ```
-pub fn parallel_accumulate_n<const K: usize, F>(
-    replications: u64,
-    seeds: SeedSequence,
-    threads: usize,
-    job: F,
-) -> [MeanVar; K]
-where
-    F: Fn(u64, u64) -> [f64; K] + Sync,
-{
-    parallel_reduce(replications, seeds, threads, &MomentsArray::<K>, job)
-}
-
-/// Scalar convenience wrapper over [`parallel_accumulate_n`]: folds one
-/// observable per replication into a single [`MeanVar`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or re-raises the first job panic with its
-/// replication index.
-pub fn parallel_accumulate<F>(
-    replications: u64,
-    seeds: SeedSequence,
-    threads: usize,
-    job: F,
-) -> MeanVar
-where
-    F: Fn(u64, u64) -> f64 + Sync,
-{
-    let [acc] =
-        parallel_accumulate_n::<1, _>(replications, seeds, threads, |i, seed| [job(i, seed)]);
-    acc
-}
-
 /// A sensible default worker count: the number of available CPUs,
 /// capped at 16.
 ///
@@ -421,10 +273,9 @@ where
 /// through shared per-world evaluation tables, so past roughly 16
 /// workers the workloads here saturate memory bandwidth rather than
 /// cores, and tiny job bodies peak earlier still. The `runner_scaling`
-/// bench (1/2/4/8/16 threads, small vs large job bodies, with the
-/// retired global-mutex design as baseline) records the scaling curve
-/// on real hardware via CI's measured-bench trajectory, so the cap can
-/// be revisited with data. Callers with unusual hardware can always
+/// bench (1/2/4/8/16 threads, small vs large job bodies) records the
+/// scaling curve on real hardware via CI's measured-bench trajectory,
+/// so the cap can be revisited with data. Callers with unusual hardware can always
 /// pass an explicit thread count; correctness never depends on it.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -436,53 +287,10 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diversim_stats::online::MeanVar;
+    use diversim_stats::reduce::{Count, Moments, Sum};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn results_are_in_index_order() {
-        let seeds = SeedSequence::new(1);
-        let out = parallel_replications(100, seeds, 4, |i, _| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let seeds = SeedSequence::new(7);
-        let job = |_i: u64, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            rng.gen::<f64>()
-        };
-        let serial = parallel_replications(64, seeds, 1, job);
-        for threads in [2, 3, 8] {
-            let parallel = parallel_replications(64, seeds, threads, job);
-            assert_eq!(serial, parallel, "thread count {threads} changed results");
-        }
-    }
-
-    #[test]
-    fn zero_replications_is_empty() {
-        let seeds = SeedSequence::new(0);
-        let out: Vec<u64> = parallel_replications(0, seeds, 4, |i, _| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn seeds_differ_across_replications() {
-        let seeds = SeedSequence::new(3);
-        let out = parallel_replications(32, seeds, 2, |_, seed| seed);
-        let mut dedup = out.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), out.len(), "seed collision across replications");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_panics() {
-        let seeds = SeedSequence::new(0);
-        let _ = parallel_replications(1, seeds, 0, |i, _| i);
-    }
 
     #[test]
     fn default_threads_is_positive() {
@@ -491,28 +299,28 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_is_thread_count_invariant_bitwise() {
+    fn reduce_is_thread_count_invariant_bitwise() {
         // More replications than one block so the merge path is exercised.
         let seeds = SeedSequence::new(11);
         let job = |_i: u64, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            [rng.gen::<f64>(), rng.gen::<f64>() * 3.0 - 1.5]
+            (rng.gen::<f64>(), rng.gen::<f64>() * 3.0 - 1.5)
         };
-        let serial = parallel_accumulate_n::<2, _>(5000, seeds, 1, job);
+        let serial = parallel_reduce(5000, seeds, 1, &(Moments, Moments), job);
         for threads in [2, 3, 8] {
-            let parallel = parallel_accumulate_n::<2, _>(5000, seeds, threads, job);
+            let parallel = parallel_reduce(5000, seeds, threads, &(Moments, Moments), job);
             assert_eq!(serial, parallel, "thread count {threads} changed moments");
         }
     }
 
     #[test]
-    fn accumulate_matches_sequential_push_statistics() {
+    fn reduce_matches_sequential_push_statistics() {
         let seeds = SeedSequence::new(13);
         let job = |_i: u64, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             rng.gen::<f64>()
         };
-        let acc = parallel_accumulate(3000, seeds, 4, job);
+        let acc = parallel_reduce(3000, seeds, 4, &Moments, job);
         let mut reference = MeanVar::new();
         for i in 0..3000u64 {
             reference.push(job(i, seeds.seed_for(0, i)));
@@ -523,30 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_zero_replications_is_empty() {
+    fn reduce_zero_replications_is_empty() {
         let seeds = SeedSequence::new(0);
-        let acc = parallel_accumulate(0, seeds, 4, |_, _| 1.0);
+        let acc = parallel_reduce(0, seeds, 4, &Moments, |_, _| 1.0);
         assert_eq!(acc.count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
-    fn accumulate_zero_threads_panics() {
+    fn reduce_zero_threads_panics() {
         let seeds = SeedSequence::new(0);
-        let _ = parallel_accumulate(1, seeds, 0, |_, _| 1.0);
+        let _ = parallel_reduce(1, seeds, 0, &Moments, |_, _| 1.0);
     }
 
     #[test]
     fn reduce_streams_composite_observables() {
-        use diversim_stats::reduce::{Count, MinMax, Moments};
         let seeds = SeedSequence::new(21);
-        let reducer = (Moments, MinMax, Count);
+        let reducer = (Moments, Sum, Count);
         let acc = parallel_reduce(2500, seeds, 4, &reducer, |i, _| {
             (i as f64, i as f64, i % 3 == 0)
         });
         assert_eq!(acc.0.count(), 2500);
-        assert_eq!(acc.1.min(), Some(0.0));
-        assert_eq!(acc.1.max(), Some(2499.0));
+        assert_eq!(acc.1, 2499.0 * 2500.0 / 2.0);
         assert_eq!(acc.2, 834);
     }
 }

@@ -680,26 +680,6 @@ impl Scenario {
         )
     }
 
-    /// [`Scenario::reduce`]'s fixed-arity sibling: folds `K` observables
-    /// per replication straight into streaming moments.
-    pub(crate) fn accumulate_n<const K: usize, F>(
-        &self,
-        replications: u64,
-        threads: usize,
-        job: F,
-    ) -> [diversim_stats::online::MeanVar; K]
-    where
-        F: Fn(u64) -> [f64; K] + Sync,
-    {
-        let policy = self.seeds;
-        crate::runner::parallel_accumulate_n::<K, _>(
-            replications,
-            SeedSequence::new(policy.root()),
-            threads,
-            move |i, _| job(policy.seed_for(i)),
-        )
-    }
-
     // --- cheap variations (the prepared world is shared) ---------------
 
     /// The same scenario under a different regime.
@@ -790,8 +770,8 @@ impl Scenario {
     }
 
     /// Estimates the marginal version and system pfds of the tested pair
-    /// by `replications` campaigns, batched through
-    /// [`crate::runner::parallel_accumulate_n`].
+    /// by `replications` campaigns, folded through
+    /// [`crate::runner::parallel_reduce`].
     ///
     /// Byte-identical for any `threads`, including 1.
     ///

@@ -1,9 +1,9 @@
 //! Confidence intervals for proportions and means.
 //!
 //! The Monte Carlo experiments estimate probabilities of failure on demand
-//! (pfd) — proportions of Bernoulli trials — so the binomial intervals here
-//! ([`wilson`], [`clopper_pearson`]) are the primary reporting tool, with
-//! [`normal_mean`] for real-valued statistics.
+//! (pfd): means of per-campaign pfds, reported with [`normal_mean`], and
+//! proportions of Bernoulli trials (operational failures), reported with
+//! the conservative [`clopper_pearson`] interval.
 
 use crate::error::StatsError;
 use crate::special::{inv_reg_inc_beta, normal_quantile};
@@ -59,57 +59,6 @@ fn check_level(level: f64) -> Result<f64, StatsError> {
     }
 }
 
-/// Wilson score interval for a binomial proportion with `successes` out of
-/// `trials`, at the given confidence `level`.
-///
-/// Behaves sensibly at the boundaries (`successes = 0` or `= trials`),
-/// unlike the Wald interval.
-///
-/// # Errors
-///
-/// Returns an error if `trials == 0` or `level ∉ (0, 1)` or
-/// `successes > trials`.
-///
-/// # Examples
-///
-/// ```
-/// let iv = diversim_stats::ci::wilson(8, 10, 0.95).unwrap();
-/// assert!(iv.contains(0.8));
-/// assert!(iv.lo > 0.4 && iv.hi < 1.0);
-/// ```
-pub fn wilson(successes: u64, trials: u64, level: f64) -> Result<Interval, StatsError> {
-    let level = check_level(level)?;
-    if trials == 0 {
-        return Err(StatsError::EmptySample);
-    }
-    if successes > trials {
-        return Err(StatsError::InvalidInterval {
-            lo: successes as f64,
-            hi: trials as f64,
-        });
-    }
-    let z = normal_quantile(0.5 + level / 2.0)?;
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let centre = (p + z2 / (2.0 * n)) / denom;
-    let half = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
-    // At the boundaries the Wilson endpoints are exactly 0 and 1; pin them
-    // so rounding cannot exclude the point estimate.
-    let lo = if successes == 0 {
-        0.0
-    } else {
-        (centre - half).max(0.0)
-    };
-    let hi = if successes == trials {
-        1.0
-    } else {
-        (centre + half).min(1.0)
-    };
-    Ok(Interval { lo, hi, level })
-}
-
 /// Clopper–Pearson ("exact") interval for a binomial proportion, via beta
 /// quantiles.
 ///
@@ -117,7 +66,8 @@ pub fn wilson(successes: u64, trials: u64, level: f64) -> Result<Interval, Stats
 ///
 /// # Errors
 ///
-/// Same conditions as [`wilson`].
+/// Returns an error if `trials == 0` or `level ∉ (0, 1)` or
+/// `successes > trials`.
 ///
 /// # Examples
 ///
@@ -182,30 +132,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wilson_is_contained_in_unit_interval() {
-        for &(k, n) in &[(0u64, 10u64), (10, 10), (5, 10), (1, 1000)] {
-            let iv = wilson(k, n, 0.99).unwrap();
-            assert!(iv.lo >= 0.0 && iv.hi <= 1.0);
-            assert!(iv.lo <= iv.hi);
-        }
-    }
-
-    #[test]
-    fn wilson_contains_point_estimate() {
-        for &(k, n) in &[(3u64, 17u64), (50, 100), (999, 1000)] {
-            let iv = wilson(k, n, 0.95).unwrap();
-            assert!(iv.contains(k as f64 / n as f64));
-        }
-    }
-
-    #[test]
-    fn wilson_narrows_with_more_trials() {
-        let small = wilson(5, 10, 0.95).unwrap();
-        let large = wilson(500, 1000, 0.95).unwrap();
-        assert!(large.width() < small.width());
-    }
-
-    #[test]
     fn clopper_pearson_known_value() {
         // k = 1, n = 20, 95%: standard reference values.
         let iv = clopper_pearson(1, 20, 0.95).unwrap();
@@ -214,13 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn clopper_pearson_is_wider_than_wilson() {
-        // The "exact" interval is conservative.
-        for &(k, n) in &[(2u64, 30u64), (15, 40)] {
-            let cp = clopper_pearson(k, n, 0.95).unwrap();
-            let wi = wilson(k, n, 0.95).unwrap();
-            assert!(cp.width() >= wi.width() - 1e-12);
+    fn clopper_pearson_contains_point_estimate_and_narrows() {
+        for &(k, n) in &[(2u64, 30u64), (15, 40), (999, 1000)] {
+            let iv = clopper_pearson(k, n, 0.99).unwrap();
+            assert!(iv.lo >= 0.0 && iv.hi <= 1.0);
+            assert!(iv.contains(k as f64 / n as f64));
         }
+        let small = clopper_pearson(5, 10, 0.95).unwrap();
+        let large = clopper_pearson(500, 1000, 0.95).unwrap();
+        assert!(large.width() < small.width());
     }
 
     #[test]
@@ -235,20 +163,18 @@ mod tests {
 
     #[test]
     fn zero_trials_is_an_error() {
-        assert!(wilson(0, 0, 0.95).is_err());
         assert!(clopper_pearson(0, 0, 0.95).is_err());
     }
 
     #[test]
     fn successes_beyond_trials_is_an_error() {
-        assert!(wilson(11, 10, 0.95).is_err());
         assert!(clopper_pearson(11, 10, 0.95).is_err());
     }
 
     #[test]
     fn bad_level_is_an_error() {
-        assert!(wilson(1, 10, 0.0).is_err());
-        assert!(wilson(1, 10, 1.0).is_err());
+        assert!(clopper_pearson(1, 10, 0.0).is_err());
+        assert!(clopper_pearson(1, 10, 1.0).is_err());
         assert!(normal_mean(0.0, 1.0, 1.5).is_err());
     }
 

@@ -1,8 +1,7 @@
-//! Fixed-bin histograms for distribution shape reports.
-//!
-//! Used by the experiment harness to visualise the distribution of the
-//! difficulty functions `θ(x)` and `ζ(x)` across demands, and of estimated
-//! pfd across replications.
+//! Fixed-bin histograms for distribution shape reports (a spread of
+//! per-demand difficulties, of estimated pfds, or of request latencies).
+//! Histograms merge, so partial histograms built on separate threads
+//! combine into one.
 
 use crate::error::StatsError;
 

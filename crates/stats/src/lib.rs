@@ -3,17 +3,17 @@
 //! This crate provides the numerical machinery that the rest of the
 //! reproduction of Popov & Littlewood (DSN 2004) is built on:
 //!
-//! * [`online`] — mergeable streaming estimators (Welford mean/variance,
-//!   bivariate covariance) used by the Monte Carlo engine;
+//! * [`online`] — the mergeable streaming (Welford) mean/variance
+//!   estimator used by the Monte Carlo engine;
 //! * [`reduce`] — composable streaming [`reduce::Reducer`]s (moments,
-//!   min/max, histograms, counts, tuple and element-wise combinators)
-//!   that let the runner fold arbitrary observables without
-//!   materialising per-replication vectors;
+//!   counts, sums, tuple and element-wise combinators) that let the
+//!   runner fold several observables without materialising
+//!   per-replication vectors;
 //! * [`weighted`] — exact moments of functions under discrete probability
 //!   measures, the workhorse behind every `E[·]`, `Var(·)` and `Cov(·, ·)`
 //!   in the paper's equations;
 //! * [`ci`] — confidence intervals for proportions and means (normal,
-//!   Wilson, Clopper–Pearson);
+//!   Clopper–Pearson);
 //! * [`special`] — special functions (log-gamma, regularized incomplete
 //!   beta and its inverse, error function, normal quantile) implemented
 //!   from scratch because no external stats crate is used;
@@ -23,8 +23,7 @@
 //!   replicated simulations are reproducible regardless of thread count;
 //! * [`stopping`] — test-campaign stopping rules in the spirit of the
 //!   paper's reference \[3\] (Littlewood & Wright 1997);
-//! * [`summary`], [`histogram`], [`bootstrap`] — sample summaries,
-//!   fixed-bin histograms and bootstrap intervals for experiment reports.
+//! * [`histogram`] — fixed-bin histograms with under/overflow counts.
 //!
 //! # Examples
 //!
@@ -43,7 +42,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod alias;
-pub mod bootstrap;
 pub mod ci;
 pub mod error;
 pub mod histogram;
@@ -52,13 +50,11 @@ pub mod reduce;
 pub mod seed;
 pub mod special;
 pub mod stopping;
-pub mod summary;
 pub mod weighted;
 
 pub use alias::AliasSampler;
-pub use ci::{clopper_pearson, wilson, Interval};
+pub use ci::{clopper_pearson, Interval};
 pub use error::StatsError;
-pub use online::{BivariateMeanVar, MeanVar};
+pub use online::MeanVar;
 pub use reduce::Reducer;
 pub use seed::SeedSequence;
-pub use summary::Summary;

@@ -1,11 +1,10 @@
 //! Mergeable streaming estimators.
 //!
 //! [`MeanVar`] implements Welford's algorithm for numerically stable
-//! streaming mean/variance; [`BivariateMeanVar`] extends it to paired
-//! observations for covariance and correlation. Both support `merge`
-//! (Chan et al.'s parallel combination), which is what lets the Monte
-//! Carlo engine in `diversim-sim` accumulate per-thread results and
-//! combine them deterministically.
+//! streaming mean/variance. It supports `merge` (Chan et al.'s parallel
+//! combination), which is what lets the Monte Carlo engine in
+//! `diversim-sim` accumulate per-block results and combine them
+//! deterministically.
 
 /// Streaming (Welford) estimator of mean and variance.
 ///
@@ -120,147 +119,6 @@ impl Extend<f64> for MeanVar {
     }
 }
 
-/// Streaming estimator of the joint first and second moments of paired
-/// observations `(x, y)`: means, variances, covariance and correlation.
-///
-/// # Examples
-///
-/// ```
-/// use diversim_stats::online::BivariateMeanVar;
-///
-/// let mut acc = BivariateMeanVar::new();
-/// for (x, y) in [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)] {
-///     acc.push(x, y);
-/// }
-/// assert!((acc.correlation() - 1.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BivariateMeanVar {
-    count: u64,
-    mean_x: f64,
-    mean_y: f64,
-    m2_x: f64,
-    m2_y: f64,
-    c2: f64,
-}
-
-impl BivariateMeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one paired observation.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.count += 1;
-        let n = self.count as f64;
-        let dx = x - self.mean_x;
-        let dy = y - self.mean_y;
-        self.mean_x += dx / n;
-        self.mean_y += dy / n;
-        let dx2 = x - self.mean_x;
-        let dy2 = y - self.mean_y;
-        self.m2_x += dx * dx2;
-        self.m2_y += dy * dy2;
-        self.c2 += dx * dy2;
-    }
-
-    /// Number of pairs pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the first coordinate.
-    pub fn mean_x(&self) -> f64 {
-        self.mean_x
-    }
-
-    /// Mean of the second coordinate.
-    pub fn mean_y(&self) -> f64 {
-        self.mean_y
-    }
-
-    /// Unbiased sample covariance; `0.0` with fewer than two pairs.
-    pub fn sample_covariance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.c2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population covariance (divides by `n`); `0.0` when empty.
-    pub fn population_covariance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.c2 / self.count as f64
-        }
-    }
-
-    /// Sample variance of the first coordinate.
-    pub fn sample_variance_x(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2_x / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample variance of the second coordinate.
-    pub fn sample_variance_y(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2_y / (self.count - 1) as f64
-        }
-    }
-
-    /// Pearson correlation coefficient; `0.0` when either variance is zero.
-    pub fn correlation(&self) -> f64 {
-        let denom = (self.m2_x * self.m2_y).sqrt();
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.c2 / denom
-        }
-    }
-
-    /// Combines two accumulators as if all pairs had been pushed into one.
-    pub fn merge(&self, other: &Self) -> Self {
-        if self.count == 0 {
-            return *other;
-        }
-        if other.count == 0 {
-            return *self;
-        }
-        let count = self.count + other.count;
-        let n = count as f64;
-        let na = self.count as f64;
-        let nb = other.count as f64;
-        let dx = other.mean_x - self.mean_x;
-        let dy = other.mean_y - self.mean_y;
-        Self {
-            count,
-            mean_x: self.mean_x + dx * nb / n,
-            mean_y: self.mean_y + dy * nb / n,
-            m2_x: self.m2_x + other.m2_x + dx * dx * na * nb / n,
-            m2_y: self.m2_y + other.m2_y + dy * dy * na * nb / n,
-            c2: self.c2 + other.c2 + dx * dy * na * nb / n,
-        }
-    }
-}
-
-impl FromIterator<(f64, f64)> for BivariateMeanVar {
-    fn from_iter<I: IntoIterator<Item = (f64, f64)>>(iter: I) -> Self {
-        let mut acc = Self::new();
-        for (x, y) in iter {
-            acc.push(x, y);
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,50 +187,5 @@ mod tests {
             .copied()
             .collect();
         assert!((acc.sample_variance() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bivariate_covariance_matches_naive() {
-        let pairs = [(1.0, 3.0), (2.0, -1.0), (4.0, 0.5), (-3.0, 2.0)];
-        let acc: BivariateMeanVar = pairs.iter().copied().collect();
-        let n = pairs.len() as f64;
-        let mx = pairs.iter().map(|p| p.0).sum::<f64>() / n;
-        let my = pairs.iter().map(|p| p.1).sum::<f64>() / n;
-        let cov = pairs.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum::<f64>() / (n - 1.0);
-        assert!((acc.sample_covariance() - cov).abs() < 1e-12);
-        assert!((acc.mean_x() - mx).abs() < 1e-12);
-        assert!((acc.mean_y() - my).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bivariate_merge_equals_sequential() {
-        let pairs: Vec<(f64, f64)> = (0..50)
-            .map(|i| ((i as f64).cos(), (i as f64 * 0.7).sin()))
-            .collect();
-        let full: BivariateMeanVar = pairs.iter().copied().collect();
-        let left: BivariateMeanVar = pairs[..20].iter().copied().collect();
-        let right: BivariateMeanVar = pairs[20..].iter().copied().collect();
-        let merged = left.merge(&right);
-        assert!((merged.sample_covariance() - full.sample_covariance()).abs() < 1e-12);
-        assert!((merged.correlation() - full.correlation()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn anticorrelated_pairs_have_negative_correlation() {
-        let mut acc = BivariateMeanVar::new();
-        for i in 0..10 {
-            acc.push(i as f64, -(i as f64));
-        }
-        assert!((acc.correlation() + 1.0).abs() < 1e-12);
-        assert!(acc.sample_covariance() < 0.0);
-    }
-
-    #[test]
-    fn constant_coordinate_gives_zero_correlation() {
-        let mut acc = BivariateMeanVar::new();
-        for i in 0..10 {
-            acc.push(5.0, i as f64);
-        }
-        assert_eq!(acc.correlation(), 0.0);
     }
 }

@@ -15,28 +15,25 @@
 //! Reducers compose: tuples of reducers reduce tuples of observables
 //! item-wise, and [`ElementWise`] lifts any reducer over fixed-length
 //! `Vec` items (e.g. one [`MeanVar`] per growth checkpoint). The
-//! building blocks are [`Moments`] (scalar mean/variance),
-//! [`MomentsArray`] (a `const`-sized bundle of moments), [`MinMax`],
-//! [`HistogramReducer`], [`Count`] and [`Sum`].
+//! building blocks are [`Moments`] (scalar mean/variance), [`Count`] and
+//! [`Sum`].
 //!
 //! # Examples
 //!
 //! ```
-//! use diversim_stats::reduce::{MinMax, Moments, Reducer};
+//! use diversim_stats::reduce::{Count, Moments, Reducer};
 //!
-//! // Reduce (value, value) pairs into (moments, extrema) jointly.
-//! let reducer = (Moments, MinMax);
+//! // Reduce (value, flag) pairs into (moments, count) jointly.
+//! let reducer = (Moments, Count);
 //! let mut acc = reducer.empty();
 //! for x in [2.0, -1.0, 5.0] {
-//!     reducer.push(&mut acc, (x, x));
+//!     reducer.push(&mut acc, (x, x > 0.0));
 //! }
 //! assert_eq!(acc.0.count(), 3);
-//! assert_eq!(acc.1.min(), Some(-1.0));
-//! assert_eq!(acc.1.max(), Some(5.0));
+//! assert_eq!(acc.0.mean(), 2.0);
+//! assert_eq!(acc.1, 2);
 //! ```
 
-use crate::error::StatsError;
-use crate::histogram::Histogram;
 use crate::online::MeanVar;
 
 /// A streaming, mergeable reduction of one observable stream.
@@ -79,33 +76,6 @@ impl Reducer for Moments {
 
     fn merge(&self, left: MeanVar, right: MeanVar) -> MeanVar {
         left.merge(&right)
-    }
-}
-
-/// Reduces `[f64; K]` observable bundles into `[MeanVar; K]`,
-/// coordinate-wise. `K = 0` is valid and reduces to an empty bundle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MomentsArray<const K: usize>;
-
-impl<const K: usize> Reducer for MomentsArray<K> {
-    type Item = [f64; K];
-    type Acc = [MeanVar; K];
-
-    fn empty(&self) -> [MeanVar; K] {
-        [MeanVar::new(); K]
-    }
-
-    fn push(&self, acc: &mut [MeanVar; K], item: [f64; K]) {
-        for (a, v) in acc.iter_mut().zip(item) {
-            a.push(v);
-        }
-    }
-
-    fn merge(&self, mut left: [MeanVar; K], right: [MeanVar; K]) -> [MeanVar; K] {
-        for (l, r) in left.iter_mut().zip(right) {
-            *l = l.merge(&r);
-        }
-        left
     }
 }
 
@@ -165,134 +135,6 @@ impl<R: Reducer> Reducer for ElementWise<R> {
             .zip(right)
             .map(|(l, r)| self.inner.merge(l, r))
             .collect()
-    }
-}
-
-/// Streaming minimum/maximum tracker (the accumulator of [`MinMax`]).
-///
-/// `NaN` items are counted but never become the minimum or maximum
-/// (every comparison against `NaN` is false).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Extrema {
-    count: u64,
-    min: f64,
-    max: f64,
-}
-
-impl Extrema {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Extrema {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Observes one value.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of observed values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest observed value, or `None` when no value ever became the
-    /// bound (no observations at all, or only `NaN`s — which never win
-    /// a comparison — or, degenerately, only `+∞`).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0 && self.min != f64::INFINITY).then_some(self.min)
-    }
-
-    /// Largest observed value, or `None` when no value ever became the
-    /// bound (see [`Extrema::min`]; the degenerate item here is `-∞`).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0 && self.max != f64::NEG_INFINITY).then_some(self.max)
-    }
-
-    /// Combines two trackers.
-    pub fn merge(&self, other: &Self) -> Self {
-        Extrema {
-            count: self.count + other.count,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
-    }
-}
-
-impl Default for Extrema {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Reduces scalar observables into an [`Extrema`] (min/max) tracker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinMax;
-
-impl Reducer for MinMax {
-    type Item = f64;
-    type Acc = Extrema;
-
-    fn empty(&self) -> Extrema {
-        Extrema::new()
-    }
-
-    fn push(&self, acc: &mut Extrema, item: f64) {
-        acc.push(item);
-    }
-
-    fn merge(&self, left: Extrema, right: Extrema) -> Extrema {
-        left.merge(&right)
-    }
-}
-
-/// Reduces scalar observables into a fixed-bin [`Histogram`].
-///
-/// The binning is validated once at construction, so [`Reducer::empty`]
-/// cannot fail mid-run.
-#[derive(Debug, Clone, Copy)]
-pub struct HistogramReducer {
-    min: f64,
-    max: f64,
-    bins: usize,
-}
-
-impl HistogramReducer {
-    /// A reducer filling `bins` equal-width bins over `[min, max)`.
-    ///
-    /// # Errors
-    ///
-    /// The same conditions as [`Histogram::new`]: a degenerate interval
-    /// or zero bins.
-    pub fn new(min: f64, max: f64, bins: usize) -> Result<Self, StatsError> {
-        Histogram::new(min, max, bins)?;
-        Ok(HistogramReducer { min, max, bins })
-    }
-}
-
-impl Reducer for HistogramReducer {
-    type Item = f64;
-    type Acc = Histogram;
-
-    fn empty(&self) -> Histogram {
-        Histogram::new(self.min, self.max, self.bins).expect("binning validated at construction")
-    }
-
-    fn push(&self, acc: &mut Histogram, item: f64) {
-        acc.push(item);
-    }
-
-    fn merge(&self, left: Histogram, right: Histogram) -> Histogram {
-        left.merge(&right)
     }
 }
 
@@ -406,40 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn minmax_tracks_extrema() {
-        let mut acc = MinMax.empty();
-        assert_eq!(acc.min(), None);
-        assert_eq!(acc.max(), None);
-        for x in [3.0, -2.0, 7.0, 0.0] {
-            MinMax.push(&mut acc, x);
-        }
-        assert_eq!(acc.count(), 4);
-        assert_eq!(acc.min(), Some(-2.0));
-        assert_eq!(acc.max(), Some(7.0));
-        assert_merge_consistent(&MinMax, &[3.0, -2.0, 7.0, 0.0, 7.0]);
-    }
-
-    #[test]
-    fn minmax_ignores_nan_for_bounds_but_counts_it() {
-        let mut acc = MinMax.empty();
-        MinMax.push(&mut acc, f64::NAN);
-        MinMax.push(&mut acc, 1.0);
-        assert_eq!(acc.count(), 2);
-        assert_eq!(acc.min(), Some(1.0));
-        assert_eq!(acc.max(), Some(1.0));
-    }
-
-    #[test]
-    fn minmax_with_only_nans_reports_no_bounds() {
-        let mut acc = MinMax.empty();
-        MinMax.push(&mut acc, f64::NAN);
-        MinMax.push(&mut acc, f64::NAN);
-        assert_eq!(acc.count(), 2);
-        assert_eq!(acc.min(), None, "NaN-only stream must not report +∞");
-        assert_eq!(acc.max(), None, "NaN-only stream must not report -∞");
-    }
-
-    #[test]
     fn moments_match_direct_meanvar() {
         let xs = [1.0, 2.5, -3.0, 4.25];
         let mut acc = Moments.empty();
@@ -448,26 +256,6 @@ mod tests {
         }
         let direct: MeanVar = xs.into_iter().collect();
         assert_eq!(acc, direct);
-    }
-
-    #[test]
-    fn moments_array_is_coordinate_wise() {
-        let reducer = MomentsArray::<2>;
-        let mut acc = reducer.empty();
-        reducer.push(&mut acc, [1.0, 10.0]);
-        reducer.push(&mut acc, [3.0, 30.0]);
-        assert_eq!(acc[0].mean(), 2.0);
-        assert_eq!(acc[1].mean(), 20.0);
-        assert_eq!(acc[0].count(), 2);
-    }
-
-    #[test]
-    fn zero_width_moments_array_reduces_to_nothing() {
-        let reducer = MomentsArray::<0>;
-        let mut acc = reducer.empty();
-        reducer.push(&mut acc, []);
-        let merged = reducer.merge(acc, reducer.empty());
-        assert!(merged.is_empty());
     }
 
     #[test]
@@ -489,37 +277,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_reducer_round_trips() {
-        let reducer = HistogramReducer::new(0.0, 1.0, 4).unwrap();
-        let mut left = reducer.empty();
-        let mut right = reducer.empty();
-        for x in [0.1, 0.3] {
-            reducer.push(&mut left, x);
-        }
-        for x in [0.35, 0.9, 2.0] {
-            reducer.push(&mut right, x);
-        }
-        let merged = reducer.merge(left, right);
-        assert_eq!(merged.counts(), &[1, 2, 0, 1]);
-        assert_eq!(merged.overflow(), 1);
-        assert_eq!(merged.total(), 5);
-    }
-
-    #[test]
-    fn histogram_reducer_validates_binning() {
-        assert!(HistogramReducer::new(1.0, 0.0, 4).is_err());
-        assert!(HistogramReducer::new(0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
     fn tuples_reduce_jointly() {
-        let reducer = (Moments, MinMax, Count, Sum);
+        let reducer = (Moments, Moments, Count, Sum);
         let mut acc = reducer.empty();
         for (i, x) in [4.0, -1.0, 2.0].into_iter().enumerate() {
-            reducer.push(&mut acc, (x, x, i % 2 == 0, x));
+            reducer.push(&mut acc, (x, -x, i % 2 == 0, x));
         }
         assert_eq!(acc.0.count(), 3);
-        assert_eq!(acc.1.min(), Some(-1.0));
+        assert_eq!(acc.1.mean(), -acc.0.mean());
         assert_eq!(acc.2, 2);
         assert_eq!(acc.3, 5.0);
         let merged = reducer.merge(acc, reducer.empty());
@@ -528,12 +293,12 @@ mod tests {
 
     #[test]
     fn nested_tuples_compose() {
-        let reducer = ((Moments, Count), MinMax);
+        let reducer = ((Moments, Count), Sum);
         let mut acc = reducer.empty();
         reducer.push(&mut acc, ((1.0, true), 1.0));
         reducer.push(&mut acc, ((3.0, false), -2.0));
         assert_eq!(acc.0 .0.mean(), 2.0);
         assert_eq!(acc.0 .1, 1);
-        assert_eq!(acc.1.min(), Some(-2.0));
+        assert_eq!(acc.1, -1.0);
     }
 }

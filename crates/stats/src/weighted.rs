@@ -151,35 +151,6 @@ where
         / total)
 }
 
-/// Computes `E[f·g]`, the mixed moment, from `((f(x), g(x)), weight)` triples.
-///
-/// # Errors
-///
-/// Same as [`mean`].
-pub fn mixed_moment<I>(triples: I) -> Result<f64, StatsError>
-where
-    I: IntoIterator<Item = ((f64, f64), f64)>,
-{
-    let mut num = 0.0_f64;
-    let mut total = 0.0_f64;
-    let mut any = false;
-    for ((fv, gv), weight) in triples {
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(StatsError::InvalidWeights);
-        }
-        num += fv * gv * weight;
-        total += weight;
-        any = true;
-    }
-    if !any {
-        return Err(StatsError::EmptySample);
-    }
-    if total <= 0.0 || !total.is_finite() {
-        return Err(StatsError::InvalidWeights);
-    }
-    Ok(num / total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,17 +195,6 @@ mod tests {
         let v = variance(pairs).unwrap();
         let c = covariance(pairs.iter().map(|&(x, w)| ((x, x), w))).unwrap();
         assert!((v - c).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixed_moment_identity() {
-        // E[fg] = Cov(f,g) + E[f]E[g].
-        let triples = [((0.1, 0.9), 0.25), ((0.6, 0.2), 0.5), ((0.3, 0.4), 0.25)];
-        let em = mixed_moment(triples).unwrap();
-        let cov = covariance(triples).unwrap();
-        let ef = mean(triples.iter().map(|&((f, _), w)| (f, w))).unwrap();
-        let eg = mean(triples.iter().map(|&((_, g), w)| (g, w))).unwrap();
-        assert!((em - (cov + ef * eg)).abs() < 1e-12);
     }
 
     #[test]

@@ -383,10 +383,10 @@ proptest! {
     }
 
     #[test]
-    fn wilson_always_brackets_the_point_estimate(k in 0u64..=50, extra in 0u64..50) {
+    fn clopper_pearson_always_brackets_the_point_estimate(k in 0u64..=50, extra in 0u64..50) {
         let n = k + extra;
         prop_assume!(n > 0);
-        let iv = diversim::stats::ci::wilson(k, n, 0.95).unwrap();
+        let iv = diversim::stats::ci::clopper_pearson(k, n, 0.95).unwrap();
         let p = k as f64 / n as f64;
         prop_assert!(iv.contains(p));
         prop_assert!(iv.lo >= 0.0 && iv.hi <= 1.0);
