@@ -1,7 +1,7 @@
 //! E17 — adaptive test-budget allocation vs the paper's static regimes.
 //!
 //! The paper spends a *fixed* suite per version (§3); the `sim::policy`
-//! subsystem instead lets a [`TestPolicy`](diversim_sim::policy::TestPolicy)
+//! subsystem instead lets a [`PolicySpec`](diversim_sim::policy::PolicySpec)
 //! decide, demand by demand, which version receives the next test under
 //! a shared execution budget. This experiment sweeps the budget on the
 //! [`asymmetric`] world — version A riddled with broad region faults

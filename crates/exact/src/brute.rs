@@ -132,9 +132,14 @@ impl TestedEnsemble {
         let (offsets, weights) = other.failing_weights();
         for (wa, fa) in &self.combos {
             for x in fa.iter() {
+                // A local sum, stored once: a store to `out` on every term
+                // makes the compiler reload `wa` after it, and the loop's
+                // speed then depends on where the allocator put both.
+                let mut acc = out[x];
                 for wb in &weights[offsets[x]..offsets[x + 1]] {
-                    out[x] += wa * wb;
+                    acc += wa * wb;
                 }
+                out[x] = acc;
             }
         }
         out

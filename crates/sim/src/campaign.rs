@@ -71,7 +71,7 @@ pub struct PairOutcome {
 /// detection semantics.
 pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
     if let CampaignRegime::Adaptive(spec) = scenario.regime() {
-        return crate::policy::run_adaptive_campaign(scenario, spec, seed).0;
+        return crate::policy::run_adaptive_campaign(scenario, spec, seed, None).0;
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let prepared = scenario.prepared();
@@ -84,17 +84,15 @@ pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
     let second_pfd_before = prepared.version_pfd(&vb);
     let system_pfd_before = prepared.pair_pfd(&va, &vb);
 
-    let (ta, tb) = match scenario.regime() {
-        CampaignRegime::IndependentSuites => (
-            generator.generate(&mut rng, suite_size),
-            generator.generate(&mut rng, suite_size),
-        ),
-        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => {
-            let t = generator.generate(&mut rng, suite_size);
-            (t.clone(), t)
-        }
+    // Version B's own suite exists only under independent suites; the
+    // shared regimes borrow version A's.
+    let ta = generator.generate(&mut rng, suite_size);
+    let own_tb = match scenario.regime() {
+        CampaignRegime::IndependentSuites => Some(generator.generate(&mut rng, suite_size)),
+        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => None,
         CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
     };
+    let tb = own_tb.as_ref().unwrap_or(&ta);
 
     let (first, second) = match scenario.regime() {
         CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {
@@ -108,7 +106,7 @@ pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
             );
             let b = debug_version(
                 &vb,
-                &tb,
+                tb,
                 model,
                 scenario.oracle(),
                 scenario.fixer(),

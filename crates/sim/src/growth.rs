@@ -92,19 +92,17 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
     let total = *checkpoints.last().expect("validated non-empty");
 
     // Draw the demand streams up front (suites of the total length).
-    let (stream_a, stream_b) = match regime {
-        CampaignRegime::IndependentSuites => (
-            scenario.generator().generate(&mut rng, total),
-            scenario.generator().generate(&mut rng, total),
-        ),
-        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => {
-            let t = scenario.generator().generate(&mut rng, total);
-            (t.clone(), t)
-        }
+    // Version B's own stream exists only under independent suites; the
+    // shared regimes borrow version A's.
+    let stream_a = scenario.generator().generate(&mut rng, total);
+    let own_b = match regime {
+        CampaignRegime::IndependentSuites => Some(scenario.generator().generate(&mut rng, total)),
+        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => None,
         CampaignRegime::Adaptive(_) => {
             unreachable!("growth studies reject adaptive regimes at the scenario layer")
         }
     };
+    let stream_b = own_b.as_ref().unwrap_or(&stream_a);
 
     let mut sample = GrowthSample {
         checkpoints: checkpoints.to_vec(),

@@ -22,7 +22,7 @@
 //! * [`scenario::Scenario::adaptive_study`] — stopping-rule-driven
 //!   campaigns ([`adaptive`]);
 //! * [`scenario::Scenario::policy_study`] — adaptive test-budget
-//!   allocation across the pair under a [`policy::TestPolicy`]
+//!   allocation across the pair under a [`policy::PolicySpec`]
 //!   ([`policy`]);
 //! * [`scenario::Scenario::system_run`] /
 //!   [`scenario::Scenario::system_estimate`] — structure-function
@@ -86,7 +86,6 @@ pub use growth::{GrowthCurve, GrowthSample, MergedComparison, MergedEstimates};
 pub use operation::{CoverageStudy, OperationLog};
 pub use policy::{
     Allocation, AllocationProfile, PolicySignals, PolicySpec, PolicyStep, PolicyStudy, PolicyTrace,
-    TestPolicy,
 };
 pub use runner::{default_threads, parallel_reduce};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, SeedPolicy};

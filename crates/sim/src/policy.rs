@@ -3,7 +3,7 @@
 //! The paper's regimes spend a *fixed* test budget per version; this
 //! module treats "which version gets the next test" as a controlled
 //! stochastic process (in the spirit of robust dynamic selection of
-//! tested modules). A [`TestPolicy`] decides, demand by demand, which
+//! tested modules). A [`PolicySpec`] decides, demand by demand, which
 //! version(s) of the pair receive the next test under a shared execution
 //! budget, observing only public signals ([`PolicySignals`]): tests
 //! spent, failures observed, and the per-version stopping-rule state.
@@ -40,9 +40,12 @@ use diversim_stats::stopping::{StoppingRule, StoppingState};
 use crate::campaign::PairOutcome;
 use crate::scenario::{Scenario, ScenarioError};
 
-/// A declarative, serialisable description of a [`TestPolicy`] — the
-/// value carried by [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive),
-/// hashed into sweep cell keys and sent over the serve wire.
+/// An allocation policy: a declarative, serialisable value — carried by
+/// [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive),
+/// hashed into sweep cell keys and sent over the serve wire — that
+/// [decides](PolicySpec::decide) each allocation from the public
+/// [`PolicySignals`] alone, which keeps traces replayable from the
+/// signals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Alternate versions by step parity: A, B, A, B, … — a pure
@@ -97,13 +100,36 @@ impl PolicySpec {
         }
     }
 
-    /// Instantiates the policy this spec describes.
-    pub fn policy(&self) -> Box<dyn TestPolicy> {
+    /// Chooses the next allocation. Called once per decision while
+    /// budget remains; `rng` is the campaign rng, drawn from *before* the
+    /// demand draw (see the module docs' determinism contract) and only
+    /// by [`PolicySpec::EpsilonGreedy`], once per decision.
+    pub fn decide(&self, signals: &PolicySignals, rng: &mut dyn RngCore) -> Allocation {
         match *self {
-            PolicySpec::RoundRobin => Box::new(RoundRobin),
-            PolicySpec::GreedyOnFailures => Box::new(GreedyOnFailures),
-            PolicySpec::EpsilonGreedy { epsilon } => Box::new(EpsilonGreedy { epsilon }),
-            PolicySpec::UcbIndex { c } => Box::new(UcbIndex { c }),
+            PolicySpec::RoundRobin => parity_pick(signals.step()),
+            PolicySpec::GreedyOnFailures => greedy_pick(signals).unwrap_or(Allocation::Both),
+            PolicySpec::EpsilonGreedy { epsilon } => {
+                if rng.gen::<f64>() < epsilon {
+                    return Allocation::Both;
+                }
+                greedy_pick(signals).unwrap_or_else(|| parity_pick(signals.step()))
+            }
+            PolicySpec::UcbIndex { c } => {
+                let log_spent = ((signals.spent() + 1) as f64).ln();
+                let index = |tests: u64, failures: u64| {
+                    let rate = failures as f64 / tests.max(1) as f64;
+                    rate + c * (log_spent / (tests + 1) as f64).sqrt()
+                };
+                let a = index(signals.tests_a(), signals.failures_a());
+                let b = index(signals.tests_b(), signals.failures_b());
+                if a > b {
+                    Allocation::VersionA
+                } else if b > a {
+                    Allocation::VersionB
+                } else {
+                    parity_pick(signals.step())
+                }
+            }
         }
     }
 }
@@ -228,89 +254,13 @@ impl PolicySignals {
     }
 }
 
-/// Decides, decision by decision, which version(s) of the pair receive
-/// the next test. Policies are stateless values: every observable they
-/// may use lives in [`PolicySignals`], which keeps traces replayable
-/// from the public signals alone.
-pub trait TestPolicy: std::fmt::Debug + Send {
-    /// Chooses the next allocation. Called once per decision while
-    /// budget remains; `rng` is the campaign rng (drawn from *before*
-    /// the demand draw — see the module docs' determinism contract).
-    fn decide(&mut self, signals: &PolicySignals, rng: &mut dyn RngCore) -> Allocation;
-}
-
-/// Alternate A, B, A, B, … by step parity (see
-/// [`PolicySpec::RoundRobin`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundRobin;
-
-impl TestPolicy for RoundRobin {
-    fn decide(&mut self, signals: &PolicySignals, _rng: &mut dyn RngCore) -> Allocation {
-        parity_pick(signals.step())
-    }
-}
-
-/// Allocate to the version with strictly more observed failures; share
-/// on ties (see [`PolicySpec::GreedyOnFailures`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GreedyOnFailures;
-
-impl TestPolicy for GreedyOnFailures {
-    fn decide(&mut self, signals: &PolicySignals, _rng: &mut dyn RngCore) -> Allocation {
-        match signals.failures_a().cmp(&signals.failures_b()) {
-            std::cmp::Ordering::Greater => Allocation::VersionA,
-            std::cmp::Ordering::Less => Allocation::VersionB,
-            std::cmp::Ordering::Equal => Allocation::Both,
-        }
-    }
-}
-
-/// Explore with probability ε by sharing a demand, exploit greedily
-/// otherwise (see [`PolicySpec::EpsilonGreedy`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpsilonGreedy {
-    /// Exploration probability in `[0, 1]`.
-    pub epsilon: f64,
-}
-
-impl TestPolicy for EpsilonGreedy {
-    fn decide(&mut self, signals: &PolicySignals, rng: &mut dyn RngCore) -> Allocation {
-        if rng.gen::<f64>() < self.epsilon {
-            return Allocation::Both;
-        }
-        match signals.failures_a().cmp(&signals.failures_b()) {
-            std::cmp::Ordering::Greater => Allocation::VersionA,
-            std::cmp::Ordering::Less => Allocation::VersionB,
-            std::cmp::Ordering::Equal => parity_pick(signals.step()),
-        }
-    }
-}
-
-/// Upper-confidence-bound index policy (see [`PolicySpec::UcbIndex`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UcbIndex {
-    /// Exploration constant, finite and `>= 0`.
-    pub c: f64,
-}
-
-impl UcbIndex {
-    fn index(&self, tests: u64, failures: u64, spent: u64) -> f64 {
-        let rate = failures as f64 / tests.max(1) as f64;
-        rate + self.c * (((spent + 1) as f64).ln() / (tests + 1) as f64).sqrt()
-    }
-}
-
-impl TestPolicy for UcbIndex {
-    fn decide(&mut self, signals: &PolicySignals, _rng: &mut dyn RngCore) -> Allocation {
-        let a = self.index(signals.tests_a(), signals.failures_a(), signals.spent());
-        let b = self.index(signals.tests_b(), signals.failures_b(), signals.spent());
-        if a > b {
-            Allocation::VersionA
-        } else if b > a {
-            Allocation::VersionB
-        } else {
-            parity_pick(signals.step())
-        }
+/// The version with strictly more observed (detected) failures, or
+/// `None` on a tie.
+fn greedy_pick(signals: &PolicySignals) -> Option<Allocation> {
+    match signals.failures_a().cmp(&signals.failures_b()) {
+        std::cmp::Ordering::Greater => Some(Allocation::VersionA),
+        std::cmp::Ordering::Less => Some(Allocation::VersionB),
+        std::cmp::Ordering::Equal => None,
     }
 }
 
@@ -382,14 +332,18 @@ pub struct PolicyTrace {
 }
 
 /// Runs one adaptive campaign (the body behind
-/// [`CampaignRegime::Adaptive`]): versions are drawn exactly as in
-/// [`crate::campaign::run_campaign`], then the policy spends the
-/// execution budget demand by demand.
+/// [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive)):
+/// versions are drawn exactly as in [`crate::campaign::run_campaign`],
+/// then the policy spends the execution budget demand by demand. Each
+/// decision is appended to `steps` when given; only
+/// [`Scenario::policy_trace`] asks for them, so replicated campaigns
+/// record nothing.
 pub(crate) fn run_adaptive_campaign(
     scenario: &Scenario,
     spec: PolicySpec,
     seed: u64,
-) -> (PairOutcome, PolicyTrace) {
+    mut steps: Option<&mut Vec<PolicyStep>>,
+) -> (PairOutcome, AllocationProfile) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -404,13 +358,11 @@ pub(crate) fn run_adaptive_campaign(
     let system_pfd_before = prepared.pair_pfd(&va, &vb);
 
     let budget = scenario.suite_size() as u64;
-    let mut policy = spec.policy();
     let mut signals = PolicySignals::new(budget);
-    let mut steps = Vec::new();
     let mut profile = AllocationProfile::default();
 
     while signals.remaining() > 0 {
-        let mut allocation = policy.decide(&signals, &mut rng);
+        let mut allocation = spec.decide(&signals, &mut rng);
         if allocation == Allocation::Both && signals.remaining() < 2 {
             // Budget coercion: a shared demand no longer fits; fall back
             // to the parity pick so conservation holds exactly.
@@ -460,11 +412,13 @@ pub(crate) fn run_adaptive_campaign(
         if detected_b {
             profile.failures_b += 1;
         }
-        steps.push(PolicyStep {
-            allocation,
-            detected_a,
-            detected_b,
-        });
+        if let Some(steps) = steps.as_deref_mut() {
+            steps.push(PolicyStep {
+                allocation,
+                detected_a,
+                detected_b,
+            });
+        }
     }
 
     let outcome = PairOutcome {
@@ -477,7 +431,7 @@ pub(crate) fn run_adaptive_campaign(
         second_pfd_before,
         system_pfd_before,
     };
-    (outcome, PolicyTrace { steps, profile })
+    (outcome, profile)
 }
 
 /// Aggregate allocation behaviour of a replicated adaptive study.
@@ -505,8 +459,7 @@ pub(crate) fn policy_study(
     let reducer = (Moments, Moments, Moments, Moments);
     let (shared_fraction, only_a, only_b, shared) =
         scenario.reduce(replications, threads, &reducer, |seed| {
-            let (_, trace) = run_adaptive_campaign(scenario, spec, seed);
-            let p = trace.profile;
+            let (_, p) = run_adaptive_campaign(scenario, spec, seed, None);
             (
                 p.shared_fraction(),
                 p.only_a as f64,
@@ -556,6 +509,38 @@ mod tests {
                     budget as u64,
                     "budget leaked for {spec} at {budget}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_free_campaigns_match_traced_ones() {
+        for spec in ALL_SPECS {
+            for budget in 0..=33 {
+                let s = scenario(vec![0.4, 0.6, 0.3, 0.5, 0.2], budget, spec);
+                for seed in 0..3 {
+                    let (free, free_profile) = run_adaptive_campaign(&s, spec, seed, None);
+                    let mut steps = Vec::new();
+                    let (traced, profile) = run_adaptive_campaign(&s, spec, seed, Some(&mut steps));
+                    assert_eq!(free, traced, "{spec} at budget {budget}, seed {seed}");
+                    assert_eq!(free_profile, profile);
+                    assert_eq!(s.run(seed), traced);
+                    // The trace holds every decision, and the decisions
+                    // add up to the profile.
+                    let trace = s.policy_trace(seed).unwrap();
+                    assert_eq!(trace.steps, steps);
+                    assert_eq!(trace.profile, profile);
+                    let count =
+                        |a: Allocation| steps.iter().filter(|st| st.allocation == a).count();
+                    assert_eq!(count(Allocation::VersionA) as u64, profile.only_a);
+                    assert_eq!(count(Allocation::VersionB) as u64, profile.only_b);
+                    assert_eq!(count(Allocation::Both) as u64, profile.shared);
+                    let detected_a = steps.iter().filter(|st| st.detected_a).count();
+                    let detected_b = steps.iter().filter(|st| st.detected_b).count();
+                    assert_eq!(detected_a as u64, profile.failures_a);
+                    assert_eq!(detected_b as u64, profile.failures_b);
+                    assert_eq!(profile.executions(), budget as u64);
+                }
             }
         }
     }

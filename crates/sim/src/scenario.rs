@@ -916,7 +916,10 @@ impl Scenario {
     pub fn policy_trace(&self, seed: u64) -> Result<PolicyTrace, ScenarioError> {
         match self.regime {
             CampaignRegime::Adaptive(spec) => {
-                Ok(crate::policy::run_adaptive_campaign(self, spec, seed).1)
+                let mut steps = Vec::new();
+                let (_, profile) =
+                    crate::policy::run_adaptive_campaign(self, spec, seed, Some(&mut steps));
+                Ok(PolicyTrace { steps, profile })
             }
             _ => Err(ScenarioError::NotAdaptive),
         }

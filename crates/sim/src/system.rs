@@ -213,7 +213,7 @@ fn run_system_campaign(scenario: &Scenario, spec: &SystemSpec, seed: u64) -> Sys
         // Every pair campaign starts by seeding StdRng with `seed` and
         // sampling A then B, so the pre-debugging pair is re-drawn
         // exactly.
-        let out = crate::policy::run_adaptive_campaign(scenario, policy, seed).0;
+        let out = crate::policy::run_adaptive_campaign(scenario, policy, seed, None).0;
         let mut rng = StdRng::seed_from_u64(seed);
         let va = spec.populations()[0].sample(&mut rng);
         let vb = spec.populations()[1].sample(&mut rng);

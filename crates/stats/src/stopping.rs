@@ -138,6 +138,9 @@ pub enum StoppingRule {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoppingState {
     rule: StoppingRule,
+    /// [`failure_free_tests_required`] of a [`StoppingRule::FailureFree`]
+    /// rule, computed once; `Ok(0)` and unread for the other rules.
+    failure_free_needed: Result<u64, StatsError>,
     demands: u64,
     failures: u64,
     failure_free_run: u64,
@@ -146,8 +149,15 @@ pub struct StoppingState {
 impl StoppingState {
     /// Creates a fresh state for `rule`.
     pub fn new(rule: StoppingRule) -> Self {
+        let failure_free_needed = match rule {
+            StoppingRule::FailureFree { target, confidence } => {
+                failure_free_tests_required(target, confidence)
+            }
+            StoppingRule::FixedSize(_) | StoppingRule::BayesianBeta { .. } => Ok(0),
+        };
         Self {
             rule,
+            failure_free_needed,
             demands: 0,
             failures: 0,
             failure_free_run: 0,
@@ -183,8 +193,8 @@ impl StoppingState {
     pub fn should_stop(&self) -> Result<bool, StatsError> {
         match self.rule {
             StoppingRule::FixedSize(n) => Ok(self.demands >= n),
-            StoppingRule::FailureFree { target, confidence } => {
-                let needed = failure_free_tests_required(target, confidence)?;
+            StoppingRule::FailureFree { .. } => {
+                let needed = self.failure_free_needed.clone()?;
                 Ok(self.failure_free_run >= needed)
             }
             StoppingRule::BayesianBeta {

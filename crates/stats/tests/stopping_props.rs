@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use diversim_stats::stopping::{
-    bayesian_confidence, failure_free_confidence, failure_free_tests_required,
+    bayesian_confidence, failure_free_confidence, failure_free_tests_required, StoppingRule,
+    StoppingState,
 };
 
 /// Targets spanning fourteen decades, including the regions where
@@ -68,5 +69,55 @@ proptest! {
             let worse = bayesian_confidence(1.0, 1.0, n, failures + 1, target).unwrap();
             prop_assert!(worse <= post + 1e-12);
         }
+    }
+}
+
+/// A `FailureFree` state computes its threshold once, at construction;
+/// at every step of a fixed failure pattern it must still answer
+/// `should_stop` exactly as the formula recomputed there would, errors
+/// included.
+#[test]
+fn failure_free_state_answers_as_the_formula_at_every_step() {
+    let valid_targets = [0.5, 0.05, 0.005, 2f64.powi(-60)];
+    let valid_confidences = [0.5, 0.95, 0.999];
+    let invalid = [0.0, 1.0, f64::NAN];
+    let mut cases = Vec::new();
+    for &target in &valid_targets {
+        for &confidence in &valid_confidences {
+            cases.push((target, confidence));
+        }
+    }
+    for &bad in &invalid {
+        cases.push((bad, 0.95));
+        cases.push((0.05, bad));
+    }
+    // Failures scattered over the first 500 demands, then a failure-free
+    // run long enough to reach every valid threshold but 2⁻⁶⁰'s.
+    let failed = |i: usize| i < 500 && i % 97 == 5;
+    for (target, confidence) in cases {
+        let mut state = StoppingState::new(StoppingRule::FailureFree { target, confidence });
+        let mut run = 0u64;
+        let mut stopped = 0;
+        for i in 0..2_000 {
+            let expected =
+                failure_free_tests_required(target, confidence).map(|needed| run >= needed);
+            let got = state.should_stop();
+            // Compare through Debug: a NaN parameter makes the error
+            // unequal to itself under `PartialEq`.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{expected:?}"),
+                "target {target}, confidence {confidence}, step {i}"
+            );
+            stopped += usize::from(got == Ok(true));
+            state.record(failed(i));
+            run = if failed(i) { 0 } else { run + 1 };
+        }
+        let reachable = (0.005..1.0).contains(&target) && confidence > 0.0 && confidence < 1.0;
+        assert_eq!(
+            stopped > 0,
+            reachable,
+            "target {target}, confidence {confidence}"
+        );
     }
 }

@@ -49,11 +49,11 @@ impl TestSuite {
     /// Returns a wrapped [`diversim_universe::UniverseError::DemandOutOfRange`]
     /// if any demand lies outside the space.
     pub fn from_demands(space: DemandSpace, demands: Vec<DemandId>) -> Result<Self, TestingError> {
-        let mut demand_set = BitSet::new(space.len());
         for &x in &demands {
             space.check(x)?;
-            demand_set.insert(x.index());
         }
+        let demand_set =
+            BitSet::from_iter_with_capacity(space.len(), demands.iter().map(|x| x.index()));
         Ok(Self {
             space,
             demands,

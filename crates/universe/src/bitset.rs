@@ -5,10 +5,25 @@
 //! that are unioned, intersected and counted in the inner loops of the
 //! simulator, so they get a dedicated bit set rather than `HashSet`.
 
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
 const BITS: usize = 64;
 
+/// Blocks a set keeps in place; sets needing more live on the heap.
+const INLINE_BLOCKS: usize = 2;
+
 /// A fixed-capacity set of `usize` values in `[0, capacity)`, stored as a
-/// bit vector.
+/// bit vector of 64-bit blocks.
+///
+/// The capacity picks the storage once, at construction: a set of
+/// capacity at most 128 keeps its (at most two) blocks inline, so
+/// creating, cloning and combining it never touches the allocator;
+/// larger sets keep their blocks in one heap slice. Either way the set
+/// behaves as its block slice plus its capacity: [`blocks`](Self::blocks)
+/// exposes the slice, and `Debug`, `Eq`, `Ord` and `Hash` compare and
+/// format `(blocks, capacity)` exactly as a plain `Vec<u64>` field would.
 ///
 /// # Examples
 ///
@@ -22,28 +37,41 @@ const BITS: usize = 64;
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 97]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct BitSet {
-    blocks: Vec<u64>,
+    blocks: Blocks,
     capacity: usize,
+}
+
+/// The block storage of a [`BitSet`]: inline exactly when the capacity
+/// fits [`INLINE_BLOCKS`] blocks. Inline blocks past the capacity stay
+/// zero, so operations may walk all of them (see [`BitSet::storage`]).
+#[derive(Clone)]
+enum Blocks {
+    Inline([u64; INLINE_BLOCKS]),
+    Heap(Box<[u64]>),
 }
 
 impl BitSet {
     /// Creates an empty set able to hold values in `[0, capacity)`.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            blocks: vec![0; capacity.div_ceil(BITS)],
-            capacity,
-        }
+        let used = capacity.div_ceil(BITS);
+        let blocks = if used <= INLINE_BLOCKS {
+            Blocks::Inline([0; INLINE_BLOCKS])
+        } else {
+            Blocks::Heap(vec![0; used].into_boxed_slice())
+        };
+        Self { blocks, capacity }
     }
 
     /// Creates a set containing every value in `[0, capacity)`.
     pub fn full(capacity: usize) -> Self {
         let mut s = Self::new(capacity);
-        for b in s.blocks.iter_mut() {
-            *b = u64::MAX;
+        s.storage_mut()[..capacity.div_ceil(BITS)].fill(u64::MAX);
+        let rem = capacity % BITS;
+        if rem != 0 {
+            s.storage_mut()[capacity / BITS] &= (1u64 << rem) - 1;
         }
-        s.trim();
         s
     }
 
@@ -57,18 +85,26 @@ impl BitSet {
         values: I,
     ) -> Self {
         let mut s = Self::new(capacity);
-        for v in values {
-            s.insert(v);
-        }
+        s.extend(values);
         s
     }
 
-    fn trim(&mut self) {
-        let rem = self.capacity % BITS;
-        if rem != 0 {
-            if let Some(last) = self.blocks.last_mut() {
-                *last &= (1u64 << rem) - 1;
-            }
+    /// Every stored block: the [`blocks`](Self::blocks) in use, then, for
+    /// an inline set, zero padding. Operations walk this whole slice —
+    /// the padding never changes a result, and the inline length is a
+    /// constant rather than one more division per call.
+    fn storage(&self) -> &[u64] {
+        match &self.blocks {
+            Blocks::Inline(blocks) => blocks,
+            Blocks::Heap(blocks) => blocks,
+        }
+    }
+
+    /// [`storage`](Self::storage), mutably. Callers keep the padding zero.
+    fn storage_mut(&mut self) -> &mut [u64] {
+        match &mut self.blocks {
+            Blocks::Inline(blocks) => blocks,
+            Blocks::Heap(blocks) => blocks,
         }
     }
 
@@ -88,10 +124,10 @@ impl BitSet {
             "value {value} out of capacity {}",
             self.capacity
         );
-        let (blk, bit) = (value / BITS, value % BITS);
-        let mask = 1u64 << bit;
-        let was = self.blocks[blk] & mask != 0;
-        self.blocks[blk] |= mask;
+        let block = &mut self.storage_mut()[value / BITS];
+        let mask = 1u64 << (value % BITS);
+        let was = *block & mask != 0;
+        *block |= mask;
         !was
     }
 
@@ -106,10 +142,10 @@ impl BitSet {
             "value {value} out of capacity {}",
             self.capacity
         );
-        let (blk, bit) = (value / BITS, value % BITS);
-        let mask = 1u64 << bit;
-        let was = self.blocks[blk] & mask != 0;
-        self.blocks[blk] &= !mask;
+        let block = &mut self.storage_mut()[value / BITS];
+        let mask = 1u64 << (value % BITS);
+        let was = *block & mask != 0;
+        *block &= !mask;
         was
     }
 
@@ -118,25 +154,22 @@ impl BitSet {
         if value >= self.capacity {
             return false;
         }
-        let (blk, bit) = (value / BITS, value % BITS);
-        self.blocks[blk] & (1u64 << bit) != 0
+        self.storage()[value / BITS] & (1u64 << (value % BITS)) != 0
     }
 
     /// Number of stored values.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        self.storage().iter().map(|b| b.count_ones() as usize).sum()
     }
 
     /// Returns `true` if the set stores nothing.
     pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
+        self.storage().iter().all(|&b| b == 0)
     }
 
     /// Removes every value.
     pub fn clear(&mut self) {
-        for b in self.blocks.iter_mut() {
-            *b = 0;
-        }
+        self.storage_mut().fill(0);
     }
 
     /// In-place union with `other`.
@@ -146,7 +179,7 @@ impl BitSet {
     /// Panics if capacities differ.
     pub fn union_with(&mut self, other: &Self) {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch in union");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.storage_mut().iter_mut().zip(other.storage()) {
             *a |= b;
         }
     }
@@ -161,7 +194,7 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in intersection"
         );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.storage_mut().iter_mut().zip(other.storage()) {
             *a &= b;
         }
     }
@@ -176,7 +209,7 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in difference"
         );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.storage_mut().iter_mut().zip(other.storage()) {
             *a &= !b;
         }
     }
@@ -191,9 +224,9 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in intersection_len"
         );
-        self.blocks
+        self.storage()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.storage())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
     }
@@ -208,10 +241,19 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in intersects"
         );
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .any(|(a, b)| a & b != 0)
+        match (&self.blocks, &other.blocks) {
+            // Two inline sets: test both block pairs without branching on
+            // the data — over two blocks, a data-dependent early exit
+            // mispredicts more often than it saves.
+            (Blocks::Inline(a), Blocks::Inline(b)) => {
+                a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x & y)) != 0
+            }
+            _ => self
+                .storage()
+                .iter()
+                .zip(other.storage())
+                .any(|(a, b)| a & b != 0),
+        }
     }
 
     /// Returns `true` if every value of `self` is in `other`.
@@ -224,18 +266,19 @@ impl BitSet {
             self.capacity, other.capacity,
             "capacity mismatch in is_subset"
         );
-        self.blocks
+        self.storage()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.storage())
             .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterates stored values in ascending order.
     pub fn iter(&self) -> Iter<'_> {
+        let blocks = self.storage();
         Iter {
-            set: self,
+            blocks,
             block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
+            current: blocks.first().copied().unwrap_or(0),
         }
     }
 
@@ -243,7 +286,7 @@ impl BitSet {
     /// representation the weighted-popcount kernel iterates over. Bits at
     /// or beyond [`capacity`](Self::capacity) are always zero.
     pub fn blocks(&self) -> &[u64] {
-        &self.blocks
+        &self.storage()[..self.capacity.div_ceil(BITS)]
     }
 
     /// Weighted popcount `Σ_{i ∈ self} weights[i]`: the mass of the set
@@ -267,7 +310,7 @@ impl BitSet {
             "weight vector length must equal capacity"
         );
         let mut acc = 0.0;
-        for (bi, &block) in self.blocks.iter().enumerate() {
+        for (bi, &block) in self.storage().iter().enumerate() {
             let mut bits = block;
             if bits == 0 {
                 continue;
@@ -339,7 +382,7 @@ impl BitSet {
             "weight vector length must equal capacity"
         );
         let mut acc = 0.0;
-        for (bi, (&a, &b)) in self.blocks.iter().zip(&other.blocks).enumerate() {
+        for (bi, (&a, &b)) in self.storage().iter().zip(other.storage()).enumerate() {
             let mut bits = combine(a, b);
             if bits == 0 {
                 continue;
@@ -351,6 +394,50 @@ impl BitSet {
             }
         }
         acc
+    }
+}
+
+// The set is its block slice plus its capacity: these impls compare,
+// hash and print `(blocks(), capacity)` exactly as derives over those two
+// fields would, whatever the storage. Sorted maps keyed by sets (suite
+// enumeration adds probabilities in key order) depend on that order.
+
+impl fmt::Debug for BitSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BitSet")
+            .field("blocks", &self.blocks())
+            .field("capacity", &self.capacity)
+            .finish()
+    }
+}
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        // Equal capacities share a storage shape, padding included.
+        self.capacity == other.capacity && self.storage() == other.storage()
+    }
+}
+
+impl Eq for BitSet {}
+
+impl Hash for BitSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.blocks().hash(state);
+        self.capacity.hash(state);
+    }
+}
+
+impl PartialOrd for BitSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for BitSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.blocks()
+            .cmp(other.blocks())
+            .then_with(|| self.capacity.cmp(&other.capacity))
     }
 }
 
@@ -424,7 +511,7 @@ impl BlockWeights {
             "capacity mismatch in BlockWeights::mass"
         );
         let mut acc = 0.0;
-        for (&block, chunk) in set.blocks.iter().zip(self.padded.chunks_exact(BITS)) {
+        for (&block, chunk) in set.storage().iter().zip(self.padded.chunks_exact(BITS)) {
             let mut bits = block;
             while bits != 0 {
                 acc += chunk[bits.trailing_zeros() as usize];
@@ -478,9 +565,9 @@ impl BlockWeights {
         );
         let mut acc = 0.0;
         for ((&x, &y), chunk) in a
-            .blocks
+            .storage()
             .iter()
-            .zip(&b.blocks)
+            .zip(b.storage())
             .zip(self.padded.chunks_exact(BITS))
         {
             let mut bits = combine(x, y);
@@ -496,7 +583,7 @@ impl BlockWeights {
 /// Ascending iterator over a [`BitSet`], created by [`BitSet::iter`].
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    blocks: &'a [u64],
     block_idx: usize,
     current: u64,
 }
@@ -512,10 +599,23 @@ impl Iterator for Iter<'_> {
                 return Some(self.block_idx * BITS + bit);
             }
             self.block_idx += 1;
-            if self.block_idx >= self.set.blocks.len() {
-                return None;
-            }
-            self.current = self.set.blocks[self.block_idx];
+            self.current = *self.blocks.get(self.block_idx)?;
+        }
+    }
+}
+
+impl Extend<usize> for BitSet {
+    /// Inserts every value, reaching the blocks once for the whole batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is `>= capacity`.
+    fn extend<I: IntoIterator<Item = usize>>(&mut self, values: I) {
+        let capacity = self.capacity;
+        let blocks = self.storage_mut();
+        for value in values {
+            assert!(value < capacity, "value {value} out of capacity {capacity}");
+            blocks[value / BITS] |= 1u64 << (value % BITS);
         }
     }
 }

@@ -177,11 +177,7 @@ impl RegionSet {
     /// (callers size `out` to the demand space).
     pub fn union_into(&self, out: &mut BitSet) {
         match self {
-            RegionSet::Sparse(idx) => {
-                for &i in idx.iter() {
-                    out.insert(i as usize);
-                }
-            }
+            RegionSet::Sparse(idx) => out.extend(idx.iter().map(|&i| i as usize)),
             RegionSet::Dense(region) => out.union_with(region),
         }
     }

@@ -265,18 +265,25 @@ impl Population for BernoulliPopulation {
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> Version {
-        let mut set = BitSet::new(self.model.fault_count());
-        for (i, &p) in self.propensities.iter().enumerate() {
-            if p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p) {
-                set.insert(i);
-            }
-        }
+        let present = self
+            .propensities
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p))
+            .map(|(i, _)| i);
+        let set = BitSet::from_iter_with_capacity(self.model.fault_count(), present);
         Version::from_fault_set(&self.model, set)
     }
 
+    /// `θ(x) = 1 − Π_{f ∈ O_x} (1 − p_f)`: [`BernoulliPopulation::xi`]
+    /// with nothing tested, multiplied in the same fault order, so the
+    /// two agree bit for bit.
     fn theta(&self, x: DemandId) -> f64 {
-        let empty = BitSet::new(self.model.space().len());
-        self.xi(x, &empty)
+        let mut survive_all_correct = 1.0;
+        for &f in self.model.faults_at(x) {
+            survive_all_correct *= 1.0 - self.propensities[f.index()];
+        }
+        1.0 - survive_all_correct
     }
 
     fn enumerate(&self, limit: usize) -> Option<Vec<(Version, f64)>> {
@@ -464,6 +471,38 @@ mod tests {
         // θ(x) ≥ ξ(x, t) always.
         for x in pop.model().space().iter() {
             assert!(pop.theta(x) >= pop.xi(x, &tested) - 1e-15);
+        }
+    }
+
+    #[test]
+    fn theta_is_xi_of_the_empty_suite_bit_for_bit() {
+        use crate::generator::{ProfileKind, PropensityKind, RegionSize, UniverseSpec};
+        let mut rng = StdRng::seed_from_u64(15);
+        for (n_demands, n_faults, region_size) in [
+            (1, 1, RegionSize::Fixed(1)),
+            (6, 11, RegionSize::Uniform { min: 1, max: 4 }),
+            (129, 129, RegionSize::Fixed(1)),
+            (200, 60, RegionSize::Geometric { mean: 8.0 }),
+            (1_000, 300, RegionSize::Uniform { min: 1, max: 40 }),
+            (10_000, 500, RegionSize::Geometric { mean: 30.0 }),
+        ] {
+            let spec = UniverseSpec {
+                n_demands,
+                n_faults,
+                region_size,
+                profile: ProfileKind::Uniform,
+            };
+            let (_, pop) = spec
+                .generate_with_population(&mut rng, PropensityKind::Uniform { lo: 0.0, hi: 1.0 })
+                .unwrap();
+            let nothing_tested = BitSet::new(n_demands);
+            for x in pop.model().space().iter() {
+                assert_eq!(
+                    pop.theta(x).to_bits(),
+                    pop.xi(x, &nothing_tested).to_bits(),
+                    "{n_demands} demands, demand {x:?}"
+                );
+            }
         }
     }
 

@@ -51,10 +51,10 @@ impl Version {
     ///
     /// Panics if a fault identifier is out of range for the model.
     pub fn from_faults<I: IntoIterator<Item = FaultId>>(model: &FaultModel, faults: I) -> Self {
-        let mut set = BitSet::new(model.fault_count());
-        for f in faults {
-            set.insert(f.index());
-        }
+        let set = BitSet::from_iter_with_capacity(
+            model.fault_count(),
+            faults.into_iter().map(|f| f.index()),
+        );
         Version { faults: set }
     }
 
