@@ -29,8 +29,7 @@ use crate::serve::service::{execute_experiment, EvaluationService};
 use crate::serve::ExperimentRequest;
 use crate::spec::{ExperimentSpec, Profile};
 use crate::sweep::{
-    render_scaling_json, sweep_experiment, verify_against_direct_run, CellStore, Shard,
-    SweepOptions, SweepRun, SweepStats,
+    sweep_experiment, verify_against_direct_run, CellStore, Shard, SweepOptions, SweepStats,
 };
 
 const USAGE: &str = "diversim — unified driver for the 20 Popov & Littlewood reproductions
@@ -41,8 +40,7 @@ USAGE:
                  [--threads N] [--out DIR] [--quiet]
     diversim sweep [EXPERIMENT...] [--all] [--smoke|--fast|--full]
                    [--threads N] [--cells DIR] [--out DIR]
-                   [--shard I/N] [--resume] [--verify]
-                   [--bench-out FILE] [--quiet]
+                   [--shard I/N] [--resume] [--verify] [--quiet]
     diversim serve [--stdio | --tcp ADDR] [--threads N] [--cache N]
                    [--quiet]
     diversim report [--run | --results DIR] [--smoke|--fast|--full]
@@ -69,9 +67,7 @@ sweeps merge to the exact bytes `diversim run` emits; --shard I/N
 computes only this shard's cells (no merged output — the store is the
 product); --resume serves verified cached cells and recomputes only
 missing or corrupt ones, printing a cache-hit summary; --verify
-byte-compares every merged result against a direct engine run;
---bench-out FILE times one cold and one warm pass and writes the
-sweep-scaling trajectory JSON.
+byte-compares every merged result against a direct engine run.
 
 `serve` answers diversim/v1 evaluation requests (one JSON object per
 line; see README \"Serving\") on stdin/stdout (--stdio, the default) or
@@ -284,8 +280,6 @@ struct SweepCliOptions {
     shard: Option<Shard>,
     resume: bool,
     verify: bool,
-    /// Write the cold/warm sweep-scaling trajectory here.
-    bench_out: Option<PathBuf>,
     quiet: bool,
 }
 
@@ -296,7 +290,6 @@ fn parse_sweep_args(args: &[String]) -> Result<(Vec<String>, bool, SweepCliOptio
     let mut shard = None;
     let mut resume = false;
     let mut verify = false;
-    let mut bench_out: Option<PathBuf> = None;
     let mut flags = CommonFlags::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -315,10 +308,6 @@ fn parse_sweep_args(args: &[String]) -> Result<(Vec<String>, bool, SweepCliOptio
             }
             "--resume" => resume = true,
             "--verify" => verify = true,
-            "--bench-out" => {
-                let value = it.next().ok_or("--bench-out needs a file path")?;
-                bench_out = Some(PathBuf::from(value));
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown sweep flag: {flag}")),
             key => keys.push(key.to_string()),
         }
@@ -330,12 +319,6 @@ fn parse_sweep_args(args: &[String]) -> Result<(Vec<String>, bool, SweepCliOptio
         if verify {
             return Err("--verify compares merged output and needs an unsharded pass".into());
         }
-        if bench_out.is_some() {
-            return Err("--bench-out times full passes and needs an unsharded sweep".into());
-        }
-    }
-    if bench_out.is_some() && resume {
-        return Err("--bench-out runs its own cold and warm passes; drop --resume".into());
     }
     let cells = cells.unwrap_or_else(|| {
         flags
@@ -355,31 +338,9 @@ fn parse_sweep_args(args: &[String]) -> Result<(Vec<String>, bool, SweepCliOptio
             shard,
             resume,
             verify,
-            bench_out,
             quiet: flags.quiet,
         },
     ))
-}
-
-/// Runs one sweep pass over `specs`, printing per-experiment cache
-/// accounting unless `opts.quiet`. Returns the runs plus the
-/// accumulated stats.
-fn sweep_pass(
-    specs: &[&'static ExperimentSpec],
-    store: &CellStore,
-    opts: &SweepOptions,
-) -> (Vec<SweepRun>, SweepStats) {
-    let mut runs = Vec::with_capacity(specs.len());
-    let mut total = SweepStats::default();
-    for spec in specs {
-        let run = sweep_experiment(spec, store, opts);
-        if !opts.quiet {
-            println!("{}: {}", spec.name, run.stats.summary());
-        }
-        total.add(run.stats);
-        runs.push(run);
-    }
-    (runs, total)
 }
 
 fn sweep(args: &[String]) -> ExitCode {
@@ -399,11 +360,6 @@ fn sweep(args: &[String]) -> ExitCode {
         .collect();
     let store = CellStore::new(&opts.cells);
     let started = Instant::now();
-
-    if let Some(bench_path) = &opts.bench_out {
-        return sweep_bench(&specs, &store, &opts, bench_path);
-    }
-
     let pass = SweepOptions {
         profile: opts.profile,
         threads: opts.threads,
@@ -411,7 +367,16 @@ fn sweep(args: &[String]) -> ExitCode {
         resume: opts.resume,
         quiet: opts.quiet,
     };
-    let (runs, total) = sweep_pass(&specs, &store, &pass);
+    let mut runs = Vec::with_capacity(specs.len());
+    let mut total = SweepStats::default();
+    for spec in &specs {
+        let run = sweep_experiment(spec, &store, &pass);
+        if !opts.quiet {
+            println!("{}: {}", spec.name, run.stats.summary());
+        }
+        total.add(run.stats);
+        runs.push(run);
+    }
     println!(
         "sweep [{}{}]: {} ({:.2}s)",
         opts.profile.name(),
@@ -474,75 +439,6 @@ fn sweep(args: &[String]) -> ExitCode {
         eprintln!("{failed_experiments} experiment(s) failed enforced checks");
         return ExitCode::from(1);
     }
-    ExitCode::SUCCESS
-}
-
-/// `--bench-out`: one cold pass (compute and persist every cell), one
-/// warm `--resume` pass (everything cached), byte-equality between the
-/// two, then the sweep-scaling trajectory JSON.
-fn sweep_bench(
-    specs: &[&'static ExperimentSpec],
-    store: &CellStore,
-    opts: &SweepCliOptions,
-    bench_path: &Path,
-) -> ExitCode {
-    let pass = |resume: bool| SweepOptions {
-        profile: opts.profile,
-        threads: opts.threads,
-        shard: None,
-        resume,
-        quiet: true,
-    };
-    let cold_started = Instant::now();
-    let (cold_runs, cold) = sweep_pass(specs, store, &pass(false));
-    let cold_ns = cold_started.elapsed().as_nanos();
-    let warm_started = Instant::now();
-    let (warm_runs, warm) = sweep_pass(specs, store, &pass(true));
-    let warm_ns = warm_started.elapsed().as_nanos();
-
-    for (a, b) in cold_runs.iter().zip(&warm_runs) {
-        if a.outcome.json != b.outcome.json || a.outcome.csv != b.outcome.csv {
-            eprintln!(
-                "DRIFT: {}: warm-cache pass is not byte-identical to the cold pass",
-                a.outcome.spec.name
-            );
-            return ExitCode::from(1);
-        }
-    }
-    if let Some(dir) = &opts.out {
-        for run in &warm_runs {
-            if let Err(e) = write_outcome(dir, &run.outcome) {
-                eprintln!(
-                    "error: could not write results for {}: {e}",
-                    run.outcome.spec.name
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let doc = render_scaling_json(
-        opts.profile,
-        opts.threads,
-        specs.len() as u64,
-        cold_ns,
-        warm_ns,
-        cold,
-        warm,
-    );
-    if let Err(e) = std::fs::write(bench_path, &doc) {
-        eprintln!("error: could not write {}: {e}", bench_path.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "sweep bench [{}]: cold {:.2}s ({} cells computed), warm {:.2}s ({} cached), {:.1}x",
-        opts.profile.name(),
-        cold_ns as f64 / 1e9,
-        cold.computed,
-        warm_ns as f64 / 1e9,
-        warm.hits,
-        cold_ns as f64 / (warm_ns as f64).max(1.0)
-    );
-    println!("wrote {}", bench_path.display());
     ExitCode::SUCCESS
 }
 
@@ -960,7 +856,7 @@ mod tests {
         assert_eq!(opts.profile, Profile::Fast);
         assert_eq!(opts.cells, PathBuf::from("results/cells"));
         assert!(opts.out.is_none() && opts.shard.is_none());
-        assert!(!opts.resume && !opts.verify && opts.bench_out.is_none());
+        assert!(!opts.resume && !opts.verify);
 
         // --cells defaults under --out when not given explicitly.
         let (_, _, opts) = parse_sweep_args(&strings(&["e01", "--out", "r"])).unwrap();
@@ -986,15 +882,16 @@ mod tests {
         let (_, _, opts) = parse_sweep_args(&strings(&["--all", "--resume", "--verify"])).unwrap();
         assert!(opts.resume && opts.verify);
 
-        // Sharded passes have no merged output to write, verify or time.
+        // Sharded passes have no merged output to write or verify.
         assert!(parse_sweep_args(&strings(&["--shard", "0/2", "--out", "r"])).is_err());
         assert!(parse_sweep_args(&strings(&["--shard", "0/2", "--verify"])).is_err());
-        assert!(parse_sweep_args(&strings(&["--shard", "0/2", "--bench-out", "b.json"])).is_err());
-        assert!(parse_sweep_args(&strings(&["--bench-out", "b.json", "--resume"])).is_err());
         assert!(parse_sweep_args(&strings(&["--shard", "2/2"])).is_err());
         assert!(parse_sweep_args(&strings(&["--shard"])).is_err());
         assert!(parse_sweep_args(&strings(&["--cells"])).is_err());
-        assert!(parse_sweep_args(&strings(&["--bench-out"])).is_err());
+        assert!(
+            parse_sweep_args(&strings(&["--bench-out", "b.json"])).is_err(),
+            "--bench-out is gone"
+        );
         assert!(parse_sweep_args(&strings(&["--bogus"])).is_err());
     }
 

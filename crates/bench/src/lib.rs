@@ -22,8 +22,8 @@
 //!   cache and the sweep cell store;
 //! * [`sweep`] — sharded, resumable sweeps: cell decomposition,
 //!   content-addressed cell caching and the `diversim sweep` driver;
-//! * [`serve`] — the typed evaluation-request API, the `diversim
-//!   serve` service (stdin/stdout + TCP) and the `loadgen` binary;
+//! * [`serve`] — the typed evaluation-request API and the `diversim
+//!   serve` service (stdin/stdout + TCP);
 //! * [`worlds`] — the standard universes the experiments run on.
 
 #![deny(missing_docs)]

@@ -4,11 +4,13 @@
 //! marginals, region masses, the packed-bitset kernel tables) is the
 //! expensive part of answering an evaluation request; varying regime,
 //! suite size or seed on a built [`Scenario`] is cheap `Arc` sharing.
-//! The cache therefore keys *base scenarios* by the
-//! [`WorldSpec::content_hash`] of the request's world spec: requests
-//! for the same world — from any client, in any order — share one
-//! prepared world, while the LRU bound keeps a long-running server's
-//! memory proportional to its working set, not its uptime.
+//! The cache therefore keys *base scenarios* by the request's world
+//! spec, looked up by its [`WorldSpec::content_hash`] and confirmed by
+//! comparing the whole spec, so a hash collision is a miss rather than
+//! another world: requests for the same world — from any client, in
+//! any order — share one prepared world, while the LRU bound keeps a
+//! long-running server's memory proportional to its working set, not
+//! its uptime.
 //!
 //! Cache state never leaks into responses (a response is a pure
 //! function of its request); [`WorldCache::stats`] exists for
@@ -52,10 +54,20 @@ pub struct CacheStats {
     pub len: usize,
 }
 
+/// One cached world and the spec it was built from.
+struct Entry {
+    hash: u64,
+    /// Only specs that pass [`WorldSpec::validate`] are stored, and it
+    /// rejects NaN parameters, so `==` on stored specs is an
+    /// equivalence.
+    spec: WorldSpec,
+    world: Arc<CachedWorld>,
+}
+
 struct Inner {
     /// Most-recently-used first. Linear scan is fine: capacities are
     /// small (worlds are megabytes, not thousands).
-    entries: Vec<(u64, Arc<CachedWorld>)>,
+    entries: Vec<Entry>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -74,6 +86,20 @@ impl std::fmt::Debug for WorldCache {
             .field("capacity", &self.capacity)
             .field("stats", &stats)
             .finish()
+    }
+}
+
+impl Inner {
+    /// Moves the entry for `spec` to the front and returns its world.
+    fn touch(&mut self, hash: u64, spec: &WorldSpec) -> Option<Arc<CachedWorld>> {
+        let pos = self
+            .entries
+            .iter()
+            .position(|e| e.hash == hash && e.spec == *spec)?;
+        let entry = self.entries.remove(pos);
+        let world = Arc::clone(&entry.world);
+        self.entries.insert(0, entry);
+        Some(world)
     }
 }
 
@@ -99,34 +125,37 @@ impl WorldCache {
     ///
     /// # Errors
     ///
-    /// The [`WorldSpec`] build errors ([`ServeError::World`],
+    /// The [`WorldSpec`] validation and build errors
+    /// ([`ServeError::InvalidField`], [`ServeError::World`],
     /// [`ServeError::Scenario`], [`ServeError::UnknownFixture`]).
     pub fn get(&self, spec: &WorldSpec) -> Result<Arc<CachedWorld>, ServeError> {
         let hash = spec.content_hash();
         {
             let mut inner = self.inner.lock().expect("world cache poisoned");
-            if let Some(pos) = inner.entries.iter().position(|(h, _)| *h == hash) {
-                let entry = inner.entries.remove(pos);
-                let world = Arc::clone(&entry.1);
-                inner.entries.insert(0, entry);
+            if let Some(world) = inner.touch(hash, spec) {
                 inner.hits += 1;
                 return Ok(world);
             }
             inner.misses += 1;
         }
 
+        spec.validate()?;
         let built = Arc::new(build_world(spec)?);
 
         let mut inner = self.inner.lock().expect("world cache poisoned");
-        if let Some(pos) = inner.entries.iter().position(|(h, _)| *h == hash) {
+        if let Some(world) = inner.touch(hash, spec) {
             // Lost the build race; keep the incumbent so every request
             // for this spec shares one prepared world.
-            let entry = inner.entries.remove(pos);
-            let world = Arc::clone(&entry.1);
-            inner.entries.insert(0, entry);
             return Ok(world);
         }
-        inner.entries.insert(0, (hash, Arc::clone(&built)));
+        inner.entries.insert(
+            0,
+            Entry {
+                hash,
+                spec: spec.clone(),
+                world: Arc::clone(&built),
+            },
+        );
         while inner.entries.len() > self.capacity {
             inner.entries.pop();
             inner.evictions += 1;
@@ -273,6 +302,27 @@ mod tests {
             })
             .unwrap();
         assert!(generated.label.contains("32 demands"));
+    }
+
+    #[test]
+    fn a_hash_collision_is_a_miss_not_another_world() {
+        let cache = WorldCache::new(4);
+        let a = singleton(&[0.1]);
+        let b = WorldSpec::Fixture {
+            name: "small-graded".into(),
+        };
+        let world_a = cache.get(&a).unwrap();
+        // Plant A's world under B's hash, as an FNV-1a collision would.
+        cache.inner.lock().unwrap().entries[0].hash = b.content_hash();
+        let world_b = cache.get(&b).unwrap();
+        assert!(!Arc::ptr_eq(&world_a, &world_b));
+        assert!(
+            world_b.label.starts_with("small-graded"),
+            "{}",
+            world_b.label
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 2));
     }
 
     #[test]

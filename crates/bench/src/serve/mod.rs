@@ -14,9 +14,11 @@
 //! * [`service`] — request execution ([`service::EvaluationService`]),
 //!   including [`service::execute_experiment`], the single validated
 //!   entry the CLI shares with the server;
-//! * [`server`] — the stdin/stdout and TCP transports;
-//! * [`loadgen`] — the mixed-workload load generator recording
-//!   throughput and p50/p99 latency into `BENCH_serve_loadgen.json`.
+//! * [`server`] — the stdin/stdout and TCP transports.
+//!
+//! The service is measured end to end by the repository's benchmark
+//! (`perfbench/`, workload `serve_mixed`), whose `perfbench-harness
+//! serve-load` client also soaks a live server in CI.
 //!
 //! The determinism contract: a response is a pure function of its
 //! request. Seeds derive as
@@ -28,7 +30,6 @@
 
 pub mod cache;
 pub mod error;
-pub mod loadgen;
 pub mod request;
 pub mod server;
 pub mod service;

@@ -1218,8 +1218,9 @@ impl EvaluationResponse {
     }
 
     /// Minimal client-side reader: extracts `(id, ok)` from a response
-    /// line. Used by `loadgen` to count protocol errors without
-    /// modelling every result payload.
+    /// line. Clients such as the benchmark's `perfbench-harness
+    /// serve-load` use it to count protocol errors without modelling
+    /// every result payload.
     ///
     /// # Errors
     ///

@@ -25,7 +25,6 @@
 use std::sync::{Arc, Mutex};
 
 use crate::engine::{run_experiment, run_experiment_with_cells, RunOutcome};
-use crate::json::Value;
 use crate::spec::{ExperimentSpec, Profile};
 
 use super::cell::{CellExecutor, CellId, CellScope};
@@ -237,40 +236,6 @@ pub fn verify_against_direct_run(sweep: &SweepRun) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Schema tag of the sweep-scaling trajectory (`BENCH_sweep_scaling.json`):
-/// the cold-vs-warm-cache timing `diversim sweep --bench-out` records.
-pub const SWEEP_SCALING_SCHEMA: &str = "diversim-sweep-scaling/v1";
-
-/// Renders the sweep-scaling trajectory document: one cold
-/// (compute-everything) pass and one warm (`--resume`, everything
-/// cached) pass over the same experiments, with the resulting cache
-/// accounting. `speedup` is the headline `cold/warm` wall-clock ratio.
-pub fn render_scaling_json(
-    profile: Profile,
-    threads: usize,
-    experiments: u64,
-    cold_ns: u128,
-    warm_ns: u128,
-    cold: SweepStats,
-    warm: SweepStats,
-) -> String {
-    let speedup = cold_ns as f64 / (warm_ns as f64).max(1.0);
-    Value::Object(vec![
-        ("schema".into(), Value::String(SWEEP_SCALING_SCHEMA.into())),
-        ("profile".into(), Value::String(profile.name().to_string())),
-        ("threads".into(), Value::Number(threads as f64)),
-        ("experiments".into(), Value::Number(experiments as f64)),
-        ("cells".into(), Value::Number(cold.declared() as f64)),
-        ("cold_ns".into(), Value::Number(cold_ns as f64)),
-        ("warm_ns".into(), Value::Number(warm_ns as f64)),
-        ("speedup".into(), Value::Number(speedup)),
-        ("cold_computed".into(), Value::Number(cold.computed as f64)),
-        ("warm_hits".into(), Value::Number(warm.hits as f64)),
-        ("warm_computed".into(), Value::Number(warm.computed as f64)),
-    ])
-    .to_json()
 }
 
 #[cfg(test)]

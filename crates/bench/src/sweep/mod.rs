@@ -28,7 +28,6 @@ pub mod store;
 
 pub use cell::{CellData, CellExecutor, CellId, CellScope};
 pub use engine::{
-    render_scaling_json, sweep_experiment, verify_against_direct_run, Shard, SweepOptions,
-    SweepRun, SweepStats, SWEEP_SCALING_SCHEMA,
+    sweep_experiment, verify_against_direct_run, Shard, SweepOptions, SweepRun, SweepStats,
 };
 pub use store::{CellLoad, CellStore, CELL_SCHEMA};

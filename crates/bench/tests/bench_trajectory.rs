@@ -1,19 +1,19 @@
 //! Drift guard for the committed benchmark trajectories.
 //!
 //! The workspace root archives measured benchmark results as
-//! `BENCH_*.json` files (written by the vendored criterion harness when
-//! `DIVERSIM_BENCH_JSON` is set, as the CI `bench-measure` job does).
-//! The README's *Perf trajectory* section quotes them, so a file that
+//! `BENCH_*.json` files. The microbenchmark files are written by the
+//! vendored criterion harness when `DIVERSIM_BENCH_JSON` is set; the
+//! README's *Perf trajectory* section quotes them, so a file that
 //! stops parsing as the engine's bench schema — an array of
 //! `{"id", "min_ns", "median_ns", "max_ns"}` objects — would silently
-//! rot the documentation. This test pins the schema and the invariants
-//! every real measurement satisfies.
+//! rot the documentation. `BENCH_e2e.json` holds the end-to-end
+//! benchmark's own run records (`perfbench/run.py`), guarded against
+//! the metric names `BENCHMARK.json` declares. These tests pin the
+//! schemas and the invariants every real measurement satisfies.
 
 use std::path::Path;
 
 use diversim_bench::json::{self, Value};
-use diversim_bench::serve::loadgen::LOADGEN_SCHEMA;
-use diversim_bench::sweep::SWEEP_SCALING_SCHEMA;
 
 /// Every trajectory file the repository commits to the workspace root.
 const COMMITTED: &[&str] = &[
@@ -28,13 +28,17 @@ fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
+/// Reads and parses one JSON file at the workspace root.
+fn read_json(name: &str) -> Value {
+    let path = workspace_root().join(name);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name} unreadable: {e}"));
+    json::parse(&text).unwrap_or_else(|e| panic!("{name} is not valid JSON: {e}"))
+}
+
 /// Parses one trajectory file and checks every record against the
 /// harness's output schema.
 fn check_trajectory(name: &str) {
-    let path = workspace_root().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("committed trajectory {name} unreadable: {e}"));
-    let value = json::parse(&text).unwrap_or_else(|e| panic!("{name} is not valid JSON: {e}"));
+    let value = read_json(name);
     let records = value
         .as_array()
         .unwrap_or_else(|| panic!("{name}: top level must be an array"));
@@ -68,127 +72,100 @@ fn committed_trajectories_parse_as_the_bench_schema() {
     }
 }
 
-/// Drift guard for the committed serve-loadgen trajectory, and the
-/// check the CI soak job replays against fresh loadgen output (set
-/// `DIVERSIM_LOADGEN_JSON` to point it at another file). The report
-/// must carry zero protocol errors, positive throughput, both cache-hot
-/// and cache-cold workloads, and ordered latency percentiles.
-#[test]
-fn serve_loadgen_trajectory_parses_and_shows_a_clean_run() {
-    let path = match std::env::var("DIVERSIM_LOADGEN_JSON") {
-        Ok(p) => Path::new(&p).to_path_buf(),
-        Err(_) => workspace_root().join("BENCH_serve_loadgen.json"),
-    };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("loadgen trajectory {} unreadable: {e}", path.display()));
-    let doc = json::parse(&text).expect("valid JSON");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some(LOADGEN_SCHEMA),
-        "schema string drifted"
-    );
-    let num = |key: &str| -> f64 {
-        doc.get(key)
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| panic!("missing numeric field {key:?}"))
-    };
-    assert_eq!(num("errors"), 0.0, "committed run must be protocol-clean");
-    assert!(num("requests") > 0.0 && num("clients") > 0.0);
-    assert!(num("throughput_rps") > 0.0);
-    let workloads = doc
-        .get("workloads")
+/// The string member `key` of a `BENCHMARK.json` entry.
+fn text<'a>(entry: &'a Value, key: &str) -> &'a str {
+    entry
+        .get(key)
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("BENCHMARK.json: entry without string {key:?}"))
+}
+
+/// The entries of one `BENCHMARK.json` list.
+fn declared<'a>(spec: &'a Value, list: &str) -> &'a [Value] {
+    spec.get(list)
         .and_then(Value::as_array)
-        .expect("workloads array");
-    for wanted in ["cache_hot/estimate", "cache_hot/growth", "cache_cold"] {
-        assert!(
-            workloads.iter().any(|w| w
-                .get("id")
-                .and_then(Value::as_str)
-                .is_some_and(|id| id.contains(wanted))),
-            "trajectory lost the {wanted} workload"
+        .unwrap_or_else(|| panic!("BENCHMARK.json: missing array {list:?}"))
+}
+
+/// Checks that `record` carries every `wanted` metric in its declared
+/// unit with a finite value, positive when `positive`.
+fn check_metrics(record: &Value, what: &str, wanted: &[Value], positive: bool) {
+    let metrics = record
+        .get("metrics")
+        .unwrap_or_else(|| panic!("{what}: missing \"metrics\""));
+    for entry in wanted {
+        let name = text(entry, "name");
+        let metric = metrics
+            .get(name)
+            .unwrap_or_else(|| panic!("{what}: metric {name} missing"));
+        assert_eq!(
+            metric.get("unit").and_then(Value::as_str),
+            Some(text(entry, "unit")),
+            "{what}: {name} has the wrong unit"
         );
-    }
-    for w in workloads {
-        let id = w.get("id").and_then(Value::as_str).expect("workload id");
-        let field = |key: &str| -> f64 {
-            w.get(key)
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{id}: missing numeric field {key:?}"))
-        };
-        assert!(field("requests") > 0.0, "{id}: empty workload");
-        let (min, p50, p99, max) = (
-            field("min_ns"),
-            field("p50_ns"),
-            field("p99_ns"),
-            field("max_ns"),
-        );
+        let value = metric
+            .get("value")
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("{what}: {name} has no numeric value"));
         assert!(
-            min > 0.0 && min <= p50 && p50 <= p99 && p99 <= max,
-            "{id}: expected 0 < min ≤ p50 ≤ p99 ≤ max, got {min}/{p50}/{p99}/{max}"
+            value.is_finite() && (!positive || value > 0.0),
+            "{what}: {name} = {value}"
         );
     }
 }
 
-/// Drift guard for the committed sweep-scaling trajectory, and the
-/// check the CI shard jobs replay against a freshly generated file (set
-/// `DIVERSIM_SWEEP_JSON` to point it elsewhere). The document records
-/// one cold `diversim sweep` pass and one fully cached `--resume` pass
-/// over the same experiments; a resume that recomputes anything, or a
-/// cache that fails to deliver a clear win, is a regression. The ≥5×
-/// headline is asserted for the committed file only — a CI-fresh file
-/// on loaded shared runners still must be warm-faster-than-cold, but
-/// with a relaxed margin.
+/// The committed end-to-end record: the run records `perfbench/run.py`
+/// wrote, left as written — one untraced run of every workload
+/// `BENCHMARK.json` declares plus one traced run, all at one seed, every
+/// one without a failed operation. The untraced runs carry every
+/// end-to-end metric, finite and positive; the traced run carries
+/// every per-layer metric.
 #[test]
-fn sweep_scaling_trajectory_shows_the_cache_working() {
-    let (path, committed) = match std::env::var("DIVERSIM_SWEEP_JSON") {
-        Ok(p) => (Path::new(&p).to_path_buf(), false),
-        Err(_) => (workspace_root().join("BENCH_sweep_scaling.json"), true),
-    };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("sweep trajectory {} unreadable: {e}", path.display()));
-    let doc = json::parse(&text).expect("valid JSON");
+fn e2e_record_covers_every_workload_and_declared_metric() {
+    let spec = read_json("BENCHMARK.json");
+    let workloads = declared(&spec, "workloads");
+    let doc = read_json("BENCH_e2e.json");
+    let records = doc
+        .as_array()
+        .expect("BENCH_e2e.json: top level must be an array");
     assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some(SWEEP_SCALING_SCHEMA),
-        "schema string drifted"
+        records.len(),
+        workloads.len() + 1,
+        "one untraced run per workload plus one traced run"
     );
-    let num = |key: &str| -> f64 {
-        doc.get(key)
+    let number = |record: &Value, key: &str| {
+        record
+            .get(key)
             .and_then(Value::as_f64)
-            .unwrap_or_else(|| panic!("missing numeric field {key:?}"))
+            .unwrap_or_else(|| panic!("BENCH_e2e.json: record without numeric {key:?}"))
     };
-    assert!(
-        doc.get("profile").and_then(Value::as_str).is_some(),
-        "missing profile string"
-    );
-    assert!(num("threads") >= 1.0 && num("experiments") >= 1.0);
-    let cells = num("cells");
-    assert!(cells > 0.0, "a sweep with no cells measures nothing");
-    // The cold pass computes every cell; the warm pass serves every one
-    // of them from the store without recomputing.
-    assert_eq!(num("cold_computed"), cells, "cold pass must compute all");
-    assert_eq!(num("warm_hits"), cells, "warm pass must hit on all");
-    assert_eq!(num("warm_computed"), 0.0, "warm pass recomputed cells");
-    let (cold, warm) = (num("cold_ns"), num("warm_ns"));
-    assert!(cold > 0.0 && warm > 0.0);
-    let speedup = num("speedup");
-    assert!(
-        (speedup - cold / warm).abs() <= 0.01 * speedup.abs().max(1.0),
-        "speedup field disagrees with cold_ns/warm_ns"
-    );
-    let floor = if committed { 5.0 } else { 1.0 };
-    assert!(
-        speedup >= floor,
-        "warm sweep is only {speedup:.1}x faster than cold (floor {floor}x)"
-    );
+    let seed = number(&records[0], "seed");
+    for record in records {
+        assert_eq!(number(record, "seed"), seed, "records mix seeds");
+        assert_eq!(number(record, "failed"), 0.0, "a recorded run failed");
+    }
+    for workload in workloads.iter().map(|w| text(w, "name")) {
+        let runs: Vec<&Value> = records
+            .iter()
+            .filter(|r| {
+                number(r, "trace") == 0.0
+                    && r.get("workload").and_then(Value::as_str) == Some(workload)
+            })
+            .collect();
+        assert_eq!(runs.len(), 1, "{workload}: want one untraced run");
+        check_metrics(runs[0], workload, declared(&spec, "end_to_end"), true);
+    }
+    let traced: Vec<&Value> = records
+        .iter()
+        .filter(|r| number(r, "trace") == 1.0)
+        .collect();
+    assert_eq!(traced.len(), 1, "want one traced run");
+    check_metrics(traced[0], "traced run", declared(&spec, "per_layer"), false);
 }
 
 /// Loads a committed trajectory and returns its benchmark ids.
 fn trajectory_ids(name: &str) -> Vec<String> {
-    let path = workspace_root().join(name);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name} unreadable: {e}"));
-    json::parse(&text)
-        .expect("valid JSON")
+    read_json(name)
         .as_array()
         .expect("array")
         .iter()
@@ -280,15 +257,8 @@ fn runner_scaling_trajectory_covers_both_jobs_at_every_thread_count() {
 /// per-demand baseline, for every region profile.
 #[test]
 fn kernel_trajectory_covers_both_paths_and_all_profiles() {
-    let path = workspace_root().join("BENCH_kernel_scaling.json");
-    let text = std::fs::read_to_string(&path).expect("BENCH_kernel_scaling.json unreadable");
-    let value = json::parse(&text).expect("valid JSON");
-    let ids: Vec<String> = value
-        .as_array()
-        .expect("array")
-        .iter()
-        .map(|r| r.get("id").and_then(Value::as_str).expect("id").to_string())
-        .collect();
+    let value = read_json("BENCH_kernel_scaling.json");
+    let ids = trajectory_ids("BENCH_kernel_scaling.json");
     for profile in ["dense", "sparse", "skewed"] {
         for side in ["kernel", "per_demand"] {
             assert!(

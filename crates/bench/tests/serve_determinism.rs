@@ -9,15 +9,83 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use diversim_bench::serve::loadgen::schedule;
-use diversim_bench::serve::request::EvaluationResponse;
+use diversim_bench::serve::request::{
+    EvaluateRequest, EvaluationRequest, EvaluationResponse, RegimeSpec, RequestKind, StudySpec,
+    WorldSpec,
+};
 use diversim_bench::serve::server::spawn_tcp;
 use diversim_bench::serve::EvaluationService;
+use diversim_testing::oracle::IdenticalFailureModel;
 
 const SEED: u64 = 2004;
 
-/// The shared request mix: the loadgen schedule already cycles worlds,
-/// regimes and study kinds, which is exactly the coverage wanted here.
+/// Workload classes of the mix, cycled round-robin per client.
+const CLASSES: u64 = 3;
+
+/// The deterministic request mix of client `client`: request `i` draws
+/// its class round-robin and its parameters from `(seed, client, i)`
+/// only. It cycles worlds, regimes and study kinds: a cache-hot
+/// `small-graded` estimate under cycling regimes, a cache-hot growth
+/// curve on `mirrored`, and a freshly generated (cache-cold) world.
+fn schedule(seed: u64, client: usize, i: u64) -> EvaluationRequest {
+    let workload = (i % CLASSES) as usize;
+    let kind = match workload {
+        0 => RequestKind::Evaluate(EvaluateRequest {
+            world: WorldSpec::Fixture {
+                name: "small-graded".into(),
+            },
+            regime: match i % 3 {
+                0 => RegimeSpec::Shared,
+                1 => RegimeSpec::Independent,
+                _ => RegimeSpec::BackToBack {
+                    model: IdenticalFailureModel::Bernoulli(0.3),
+                },
+            },
+            suite_size: 4,
+            replications: 200,
+            study: StudySpec::Estimate,
+            system: None,
+        }),
+        1 => RequestKind::Evaluate(EvaluateRequest {
+            world: WorldSpec::Fixture {
+                name: "mirrored".into(),
+            },
+            regime: RegimeSpec::Independent,
+            suite_size: 8,
+            replications: 100,
+            study: StudySpec::Growth {
+                checkpoints: vec![0, 4, 8],
+            },
+            system: None,
+        }),
+        _ => RequestKind::Evaluate(EvaluateRequest {
+            world: WorldSpec::Generated {
+                demands: 64,
+                faults: 16,
+                region_max: 2,
+                zipf: 0.8,
+                prop_lo: 0.05,
+                prop_hi: 0.5,
+                // Unique per (client, i): every cold request builds a
+                // distinct world, churning the server's LRU.
+                seed: seed ^ (client as u64).wrapping_mul(1_000_003).wrapping_add(i),
+            },
+            regime: RegimeSpec::Shared,
+            suite_size: 4,
+            replications: 100,
+            study: StudySpec::Estimate,
+            system: None,
+        }),
+    };
+    EvaluationRequest {
+        id: format!("c{client}-r{i}"),
+        seed,
+        stream: client as u64,
+        kind,
+    }
+}
+
+/// The shared request mix, client by client.
 fn request_lines(clients: usize, per_client: u64) -> Vec<String> {
     let mut lines = Vec::new();
     for client in 0..clients {
@@ -127,4 +195,25 @@ fn lru_eviction_is_invisible_in_response_bytes() {
     );
     assert!(tight_stats.misses > roomy_stats.misses, "forced rebuilds");
     assert_eq!(tight_stats.len, 1);
+}
+
+#[test]
+fn the_mix_is_valid_wire_and_varies_its_cold_worlds() {
+    for client in 0..3 {
+        for i in 0..6 {
+            let request = schedule(42, client, i);
+            assert_eq!(request.stream, client as u64);
+            // Every scheduled request survives its own wire round trip.
+            assert_eq!(
+                EvaluationRequest::parse(&request.to_json()).unwrap(),
+                request
+            );
+        }
+    }
+    // Cold requests vary their world per (client, i).
+    let world = |i| match schedule(1, 0, i).kind {
+        RequestKind::Evaluate(e) => e.world.content_hash(),
+        _ => unreachable!("the mix holds evaluate requests only"),
+    };
+    assert_ne!(world(2), world(5));
 }

@@ -86,7 +86,7 @@ mod tests {
         assert!(e.to_string().contains("spaces differ"));
         let u: CoreError = UniverseError::EmptyDemandSpace.into();
         assert!(Error::source(&u).is_some());
-        let t: CoreError = TestingError::InvalidPartition { reason: "x" }.into();
+        let t: CoreError = TestingError::InvalidSuitePopulation { reason: "x" }.into();
         assert!(Error::source(&t).is_some());
     }
 

@@ -23,11 +23,6 @@ pub enum TestingError {
         /// The rejected value.
         value: f64,
     },
-    /// A partition scheme was empty or contained an empty class.
-    InvalidPartition {
-        /// Human-readable reason.
-        reason: &'static str,
-    },
     /// A suite population was empty or had degenerate weights.
     InvalidSuitePopulation {
         /// Human-readable reason.
@@ -51,9 +46,6 @@ impl fmt::Display for TestingError {
                     f,
                     "parameter `{name}` must be a probability in [0, 1], got {value}"
                 )
-            }
-            TestingError::InvalidPartition { reason } => {
-                write!(f, "invalid partition: {reason}")
             }
             TestingError::InvalidSuitePopulation { reason } => {
                 write!(f, "invalid suite population: {reason}")

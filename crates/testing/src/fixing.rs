@@ -30,12 +30,6 @@ pub trait Fixer: std::fmt::Debug + Send + Sync {
         version: &mut Version,
         x: DemandId,
     ) -> usize;
-
-    /// `true` if the fixer removes every causing fault with certainty,
-    /// enabling closed-form shortcuts.
-    fn is_perfect(&self) -> bool {
-        false
-    }
 }
 
 /// The perfect fixer of §3: removes every fault of `π ∩ O_x`.
@@ -58,10 +52,6 @@ impl Fixer for PerfectFixer {
         x: DemandId,
     ) -> usize {
         version.remove_faults(model.faults_at(x).iter().copied())
-    }
-
-    fn is_perfect(&self) -> bool {
-        true
     }
 }
 
@@ -118,10 +108,6 @@ impl Fixer for ImperfectFixer {
         }
         removed
     }
-
-    fn is_perfect(&self) -> bool {
-        self.fix_prob >= 1.0
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +142,6 @@ mod tests {
         let mut v = Version::from_faults(&m, [f(0), f(1), f(2)]);
         let mut rng = StdRng::seed_from_u64(0);
         let fixer = PerfectFixer::new();
-        assert!(fixer.is_perfect());
         // Failure on demand 1 is caused by faults 0 and 1 — both removed.
         let removed = fixer.fix(&mut rng, &m, &mut v, d(1));
         assert_eq!(removed, 2);
@@ -190,7 +175,6 @@ mod tests {
     fn imperfect_fixer_with_unit_prob_is_perfect() {
         let m = model();
         let fixer = ImperfectFixer::new(1.0).unwrap();
-        assert!(fixer.is_perfect());
         let mut v = Version::from_faults(&m, [f(0), f(1)]);
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(fixer.fix(&mut rng, &m, &mut v, d(1)), 2);

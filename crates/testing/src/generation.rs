@@ -7,28 +7,28 @@
 //! the chances of finding faults." A [`SuiteGenerator`] together with a
 //! requested size is one *generation procedure* — the thing the measure
 //! `M(·)` is defined over. Forced *testing* diversity (§3.2) is modelled
-//! by using two different generators.
+//! with two suite measures, one per version
+//! ([`ExplicitSuitePopulation`](crate::suite_population::ExplicitSuitePopulation)s):
+//! the `measure_a`/`measure_b` pair of
+//! `diversim_core::marginal::SuiteAssignment::Independent`, which e03's
+//! eq-18 arm builds from the operational and a debug-skewed profile.
 
 use rand::RngCore;
 
-use diversim_universe::demand::{DemandId, DemandSpace};
+use diversim_universe::demand::DemandSpace;
 use diversim_universe::profile::UsageProfile;
 
-use crate::error::TestingError;
 use crate::suite::TestSuite;
 
 /// A randomized procedure producing test suites of a requested size.
 ///
-/// Implementations are object-safe so experiments can mix procedures
-/// (`&dyn SuiteGenerator`) when modelling forced testing diversity.
+/// The trait is object-safe: scenarios hold their procedure as a
+/// `dyn SuiteGenerator`.
 pub trait SuiteGenerator: std::fmt::Debug + Send + Sync {
     /// The demand space suites are generated over.
     fn space(&self) -> DemandSpace;
 
     /// Draws one random suite `T ~ M(·)` of `size` demands.
-    ///
-    /// Generators for which the size is intrinsic (e.g.
-    /// [`ExhaustiveGenerator`]) document how they treat the argument.
     fn generate(&self, rng: &mut dyn RngCore, size: usize) -> TestSuite;
 }
 
@@ -64,140 +64,10 @@ impl SuiteGenerator for ProfileGenerator {
     }
 }
 
-/// Partition (category) testing: the demand space is split into classes
-/// and suites cycle round-robin over the classes, drawing uniformly within
-/// each — guaranteeing coverage breadth that i.i.d. sampling lacks.
-#[derive(Debug, Clone)]
-pub struct PartitionGenerator {
-    space: DemandSpace,
-    classes: Vec<Vec<DemandId>>,
-}
-
-impl PartitionGenerator {
-    /// Creates a partition generator from demand classes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TestingError::InvalidPartition`] if there are no classes
-    /// or a class is empty, and a wrapped range error if a class refers to
-    /// a demand outside the space.
-    pub fn new(space: DemandSpace, classes: Vec<Vec<DemandId>>) -> Result<Self, TestingError> {
-        if classes.is_empty() {
-            return Err(TestingError::InvalidPartition {
-                reason: "no classes supplied",
-            });
-        }
-        for class in &classes {
-            if class.is_empty() {
-                return Err(TestingError::InvalidPartition {
-                    reason: "empty class",
-                });
-            }
-            for &x in class {
-                space.check(x)?;
-            }
-        }
-        Ok(Self { space, classes })
-    }
-
-    /// Splits the space into `k` contiguous classes of near-equal size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TestingError::InvalidPartition`] if `k` is zero or larger
-    /// than the space.
-    pub fn contiguous(space: DemandSpace, k: usize) -> Result<Self, TestingError> {
-        if k == 0 || k > space.len() {
-            return Err(TestingError::InvalidPartition {
-                reason: "class count must be in 1..=space size",
-            });
-        }
-        let n = space.len();
-        let mut classes = Vec::with_capacity(k);
-        for c in 0..k {
-            let lo = c * n / k;
-            let hi = (c + 1) * n / k;
-            classes.push((lo..hi).map(|i| DemandId::new(i as u32)).collect());
-        }
-        Ok(Self { space, classes })
-    }
-
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-}
-
-impl SuiteGenerator for PartitionGenerator {
-    fn space(&self) -> DemandSpace {
-        self.space
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, size: usize) -> TestSuite {
-        use rand::Rng;
-        let mut demands = Vec::with_capacity(size);
-        for i in 0..size {
-            let class = &self.classes[i % self.classes.len()];
-            demands.push(class[rng.gen_range(0..class.len())]);
-        }
-        TestSuite::from_demands(self.space, demands).expect("classes validated at construction")
-    }
-}
-
-/// Exhaustive testing: the suite is always the whole demand space, in
-/// index order. The requested size is ignored (documented deviation: the
-/// procedure's size is intrinsic). Used for limit studies such as the
-/// back-to-back worst case "in the limit (after exhaustive testing)".
-#[derive(Debug, Clone, Copy)]
-pub struct ExhaustiveGenerator {
-    space: DemandSpace,
-}
-
-impl ExhaustiveGenerator {
-    /// Creates an exhaustive generator over `space`.
-    pub fn new(space: DemandSpace) -> Self {
-        Self { space }
-    }
-}
-
-impl SuiteGenerator for ExhaustiveGenerator {
-    fn space(&self) -> DemandSpace {
-        self.space
-    }
-
-    fn generate(&self, _rng: &mut dyn RngCore, _size: usize) -> TestSuite {
-        TestSuite::exhaustive(self.space)
-    }
-}
-
-/// A degenerate procedure that always returns one fixed suite — the
-/// "same test suite" regime in its purest form, and a useful building
-/// block for exact enumeration.
-#[derive(Debug, Clone)]
-pub struct FixedGenerator {
-    suite: TestSuite,
-}
-
-impl FixedGenerator {
-    /// Wraps a fixed suite.
-    pub fn new(suite: TestSuite) -> Self {
-        Self { suite }
-    }
-}
-
-impl SuiteGenerator for FixedGenerator {
-    fn space(&self) -> DemandSpace {
-        self.suite.space()
-    }
-
-    fn generate(&self, _rng: &mut dyn RngCore, _size: usize) -> TestSuite {
-        self.suite.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diversim_universe::demand::DemandId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -230,62 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn partition_round_robin_coverage() {
-        let g = PartitionGenerator::contiguous(space(9), 3).unwrap();
-        assert_eq!(g.class_count(), 3);
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = g.generate(&mut rng, 6);
-        // Demands 0,3 come from class 0 ({0,1,2}), etc.
-        assert!(t.demands()[0].index() < 3);
-        assert!((3..6).contains(&t.demands()[1].index()));
-        assert!((6..9).contains(&t.demands()[2].index()));
-        assert!(t.demands()[3].index() < 3);
-    }
-
-    #[test]
-    fn partition_validation() {
-        assert!(PartitionGenerator::new(space(3), vec![]).is_err());
-        assert!(PartitionGenerator::new(space(3), vec![vec![]]).is_err());
-        assert!(PartitionGenerator::new(space(3), vec![vec![d(7)]]).is_err());
-        assert!(PartitionGenerator::contiguous(space(3), 0).is_err());
-        assert!(PartitionGenerator::contiguous(space(3), 4).is_err());
-    }
-
-    #[test]
-    fn contiguous_classes_partition_the_space() {
-        let g = PartitionGenerator::contiguous(space(10), 3).unwrap();
-        let total: usize = g.classes.iter().map(Vec::len).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn exhaustive_ignores_size() {
-        let g = ExhaustiveGenerator::new(space(4));
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = g.generate(&mut rng, 1);
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.distinct_len(), 4);
-    }
-
-    #[test]
-    fn fixed_generator_always_returns_same_suite() {
-        let suite = TestSuite::from_demands(space(3), vec![d(2)]).unwrap();
-        let g = FixedGenerator::new(suite.clone());
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(g.generate(&mut rng, 99), suite);
-        assert_eq!(g.generate(&mut rng, 0), suite);
-    }
-
-    #[test]
     fn generators_are_object_safe() {
-        let gens: Vec<Box<dyn SuiteGenerator>> = vec![
-            Box::new(ProfileGenerator::new(UsageProfile::uniform(space(3)))),
-            Box::new(ExhaustiveGenerator::new(space(3))),
-        ];
+        let g: Box<dyn SuiteGenerator> =
+            Box::new(ProfileGenerator::new(UsageProfile::uniform(space(3))));
         let mut rng = StdRng::seed_from_u64(5);
-        for g in &gens {
-            let t = g.generate(&mut rng, 2);
-            assert_eq!(t.space().len(), 3);
-        }
+        let t = g.generate(&mut rng, 2);
+        assert_eq!(t.space().len(), 3);
     }
 }

@@ -57,10 +57,8 @@ pub mod suite_population;
 
 pub use error::TestingError;
 pub use fixing::{Fixer, ImperfectFixer, PerfectFixer};
-pub use generation::{
-    ExhaustiveGenerator, FixedGenerator, PartitionGenerator, ProfileGenerator, SuiteGenerator,
-};
-pub use oracle::{IdenticalFailureModel, ImperfectOracle, Oracle, PerDemandOracle, PerfectOracle};
+pub use generation::{ProfileGenerator, SuiteGenerator};
+pub use oracle::{IdenticalFailureModel, ImperfectOracle, Oracle, PerfectOracle};
 pub use process::{
     back_to_back_debug, debug_version, perfect_debug, BackToBackLog, BackToBackOutcome, DebugLog,
     DebugOutcome,

@@ -19,12 +19,6 @@ pub trait Oracle: std::fmt::Debug + Send + Sync {
     /// Returns `true` if a failure on `x` is detected. Called once per
     /// failing execution.
     fn detects(&self, rng: &mut dyn RngCore, x: DemandId) -> bool;
-
-    /// `true` if the oracle detects every failure with certainty, enabling
-    /// closed-form shortcuts.
-    fn is_perfect(&self) -> bool {
-        false
-    }
 }
 
 /// The perfect oracle of §3: every failure is detected.
@@ -40,10 +34,6 @@ impl PerfectOracle {
 
 impl Oracle for PerfectOracle {
     fn detects(&self, _rng: &mut dyn RngCore, _x: DemandId) -> bool {
-        true
-    }
-
-    fn is_perfect(&self) -> bool {
         true
     }
 }
@@ -81,50 +71,6 @@ impl ImperfectOracle {
 impl Oracle for ImperfectOracle {
     fn detects(&self, rng: &mut dyn RngCore, _x: DemandId) -> bool {
         rng.gen::<f64>() < self.detect_prob
-    }
-
-    fn is_perfect(&self) -> bool {
-        self.detect_prob >= 1.0
-    }
-}
-
-/// An oracle with per-demand detection probabilities (some failures are
-/// easier to judge than others) — an extension beyond the paper's global
-/// imperfection parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerDemandOracle {
-    detect_probs: Vec<f64>,
-}
-
-impl PerDemandOracle {
-    /// Creates an oracle from per-demand detection probabilities, indexed
-    /// by demand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TestingError::InvalidProbability`] if any entry is out of
-    /// range.
-    pub fn new(detect_probs: Vec<f64>) -> Result<Self, TestingError> {
-        for &p in &detect_probs {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(TestingError::InvalidProbability {
-                    name: "detect_probs[i]",
-                    value: p,
-                });
-            }
-        }
-        Ok(Self { detect_probs })
-    }
-}
-
-impl Oracle for PerDemandOracle {
-    fn detects(&self, rng: &mut dyn RngCore, x: DemandId) -> bool {
-        let p = self.detect_probs.get(x.index()).copied().unwrap_or(0.0);
-        rng.gen::<f64>() < p
-    }
-
-    fn is_perfect(&self) -> bool {
-        self.detect_probs.iter().all(|&p| p >= 1.0)
     }
 }
 
@@ -193,7 +139,6 @@ mod tests {
     fn perfect_oracle_always_detects() {
         let o = PerfectOracle::new();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(o.is_perfect());
         for i in 0..100 {
             assert!(o.detects(&mut rng, d(i)));
         }
@@ -202,7 +147,6 @@ mod tests {
     #[test]
     fn imperfect_oracle_detection_rate() {
         let o = ImperfectOracle::new(0.3).unwrap();
-        assert!(!o.is_perfect());
         let mut rng = StdRng::seed_from_u64(1);
         let hits = (0..100_000).filter(|_| o.detects(&mut rng, d(0))).count();
         assert!((hits as f64 / 100_000.0 - 0.3).abs() < 0.01);
@@ -212,7 +156,6 @@ mod tests {
     fn imperfect_oracle_extremes() {
         let zero = ImperfectOracle::new(0.0).unwrap();
         let one = ImperfectOracle::new(1.0).unwrap();
-        assert!(one.is_perfect());
         let mut rng = StdRng::seed_from_u64(2);
         assert!(!zero.detects(&mut rng, d(0)));
         assert!(one.detects(&mut rng, d(0)));
@@ -223,23 +166,6 @@ mod tests {
         assert!(ImperfectOracle::new(-0.1).is_err());
         assert!(ImperfectOracle::new(1.1).is_err());
         assert!(ImperfectOracle::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn per_demand_oracle_uses_right_entry() {
-        let o = PerDemandOracle::new(vec![1.0, 0.0]).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(o.detects(&mut rng, d(0)));
-        assert!(!o.detects(&mut rng, d(1)));
-        // Out-of-range demands are never detected.
-        assert!(!o.detects(&mut rng, d(9)));
-        assert!(!o.is_perfect());
-        assert!(PerDemandOracle::new(vec![1.0, 1.0]).unwrap().is_perfect());
-    }
-
-    #[test]
-    fn per_demand_oracle_validates() {
-        assert!(PerDemandOracle::new(vec![0.5, 2.0]).is_err());
     }
 
     #[test]
@@ -270,7 +196,6 @@ mod tests {
         let oracles: Vec<Box<dyn Oracle>> = vec![
             Box::new(PerfectOracle::new()),
             Box::new(ImperfectOracle::new(0.5).unwrap()),
-            Box::new(PerDemandOracle::new(vec![0.5]).unwrap()),
         ];
         let mut rng = StdRng::seed_from_u64(6);
         for o in &oracles {
