@@ -11,7 +11,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::report::{json_escape, tables_to_long_csv};
+use crate::json::Value;
+use crate::report::tables_to_long_csv;
 use crate::spec::{Check, ExperimentSpec, Profile, RunContext};
 
 /// Identifies the result-file schema emitted by this engine.
@@ -77,58 +78,58 @@ pub fn run_experiment_with_cells(
 }
 
 fn render_json(spec: &ExperimentSpec, profile: Profile, ctx: &RunContext) -> String {
-    let mut out = String::new();
-    out.push('{');
-    out.push_str(&format!("\"schema\":\"{}\",", json_escape(RESULT_SCHEMA)));
-    out.push_str(&format!("\"id\":{},", spec.id));
-    out.push_str(&format!("\"slug\":\"{}\",", json_escape(spec.slug)));
-    out.push_str(&format!("\"name\":\"{}\",", json_escape(spec.name)));
-    out.push_str(&format!("\"title\":\"{}\",", json_escape(spec.title)));
-    out.push_str(&format!(
-        "\"paper_ref\":\"{}\",",
-        json_escape(spec.paper_ref)
-    ));
-    out.push_str(&format!("\"claim\":\"{}\",", json_escape(spec.claim)));
-    out.push_str(&format!("\"sweep\":\"{}\",", json_escape(spec.sweep)));
-    out.push_str(&format!("\"profile\":\"{}\",", profile.name()));
-    out.push_str(&format!(
-        "\"full_replications\":{},",
-        spec.full_replications
-    ));
-    out.push_str(&format!(
-        "\"replication_budget\":{},",
-        profile.replications(spec.full_replications)
-    ));
-    out.push_str(&format!(
-        "\"checks_passed\":{},",
-        ctx.failed_checks().is_empty()
-    ));
-    out.push_str("\"checks\":[");
-    for (i, check) in ctx.checks().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"passed\":{}}}",
-            json_escape(&check.label),
-            check.passed
-        ));
-    }
-    out.push_str("],\"tables\":[");
-    for (i, (table, stem)) in ctx.tables().iter().zip(ctx.table_stems()).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Splice the stem into the table object: `{"stem":…,<table fields>}`.
-        let table_json = table.to_json();
-        out.push_str(&format!(
-            "{{\"stem\":\"{}\",{}",
-            json_escape(stem),
-            &table_json[1..]
-        ));
-    }
-    out.push_str("]}");
-    out
+    let text = |s: &str| Value::String(s.to_string());
+    let texts = |cells: &[String]| Value::Array(cells.iter().map(|c| text(c)).collect());
+    let count = |n: u64| Value::Number(n as f64);
+    let checks = ctx
+        .checks()
+        .iter()
+        .map(|check| {
+            Value::Object(vec![
+                ("label".into(), text(&check.label)),
+                ("passed".into(), Value::Bool(check.passed)),
+            ])
+        })
+        .collect();
+    let tables = ctx
+        .tables()
+        .iter()
+        .zip(ctx.table_stems())
+        .map(|(table, stem)| {
+            Value::Object(vec![
+                ("stem".into(), text(stem)),
+                ("title".into(), text(table.title())),
+                ("headers".into(), texts(table.headers())),
+                (
+                    "rows".into(),
+                    Value::Array(table.rows().iter().map(|row| texts(row)).collect()),
+                ),
+            ])
+        })
+        .collect();
+    Value::Object(vec![
+        ("schema".into(), text(RESULT_SCHEMA)),
+        ("id".into(), count(spec.id.into())),
+        ("slug".into(), text(spec.slug)),
+        ("name".into(), text(spec.name)),
+        ("title".into(), text(spec.title)),
+        ("paper_ref".into(), text(spec.paper_ref)),
+        ("claim".into(), text(spec.claim)),
+        ("sweep".into(), text(spec.sweep)),
+        ("profile".into(), text(profile.name())),
+        ("full_replications".into(), count(spec.full_replications)),
+        (
+            "replication_budget".into(),
+            count(profile.replications(spec.full_replications)),
+        ),
+        (
+            "checks_passed".into(),
+            Value::Bool(ctx.failed_checks().is_empty()),
+        ),
+        ("checks".into(), Value::Array(checks)),
+        ("tables".into(), Value::Array(tables)),
+    ])
+    .to_json()
 }
 
 /// Writes `<dir>/<name>.json` and `<dir>/<name>.csv`, creating `dir`
@@ -181,7 +182,9 @@ mod tests {
         assert!(a.json.starts_with("{\"schema\":\"diversim-result/v1\""));
         assert!(a.json.contains("\"replication_budget\":50"));
         assert!(a.json.contains("\"checks_passed\":false"));
-        assert!(a.json.contains("\"stem\":\"demo_stem\""));
+        assert!(a.json.contains(
+            r#"{"stem":"demo_stem","title":"demo \"table\"","headers":["k","v"],"rows":[["a,b","1"]]}"#
+        ));
         assert!(a.csv.starts_with("table,row,column,value\n"));
         assert!(a.csv.contains("\"a,b\""));
     }

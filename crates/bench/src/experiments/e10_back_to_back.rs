@@ -150,26 +150,26 @@ fn run(ctx: &mut RunContext) {
             let mut pfd_changed = 0u64;
             let mut version_mismatch = 0u64;
             for _ in 0..pairs {
-                let v1 = w.pop_a.sample(&mut rng);
-                let v2 = w.pop_a.sample(&mut rng);
-                let before = pair_pfd(&v1, &v2);
-                let out = back_to_back_debug(
-                    &v1,
-                    &v2,
+                let mut first = w.pop_a.sample(&mut rng);
+                let mut second = w.pop_a.sample(&mut rng);
+                let before = pair_pfd(&first, &second);
+                back_to_back_debug(
+                    &mut first,
+                    &mut second,
                     &exhaustive,
                     &model,
                     IdenticalFailureModel::Always,
                     &PerfectFixer::new(),
                     &mut rng,
                 );
-                let after = pair_pfd(&out.first, &out.second);
+                let after = pair_pfd(&first, &second);
                 if (after - before).abs() >= 1e-15 {
                     pfd_changed += 1;
                 }
                 // Limit claim: both versions now fail exactly on the
                 // coincident set, so each version's pfd equals the system's.
-                let va_pfd = out.first.pfd(&model, &w.profile);
-                let vb_pfd = out.second.pfd(&model, &w.profile);
+                let va_pfd = first.pfd(&model, &w.profile);
+                let vb_pfd = second.pfd(&model, &w.profile);
                 if (va_pfd - after).abs() >= 1e-15 || (vb_pfd - after).abs() >= 1e-15 {
                     version_mismatch += 1;
                 }

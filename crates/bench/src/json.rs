@@ -14,6 +14,8 @@
 //! *strict* response side (fixed member order, stable escaping), so
 //! responses are byte-deterministic.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value. Object members keep their document order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -75,8 +77,9 @@ impl Value {
     /// Renders this value as a compact JSON document.
     ///
     /// The writer is strict and deterministic: object members keep
-    /// their stored order, strings are escaped exactly like
-    /// [`crate::report::json_escape`], numbers with an exact integer
+    /// their stored order, strings escape backslash, quote and control
+    /// characters below U+0020 (as `\n`, `\r`, `\t` or `\u00XX`),
+    /// numbers with an exact integer
     /// value inside the `f64`-safe range print without a fraction, and
     /// everything else uses Rust's shortest round-tripping `f64`
     /// display. Non-finite numbers (which JSON cannot represent)
@@ -98,7 +101,7 @@ impl Value {
             Value::Number(n) => out.push_str(&format_number(*n)),
             Value::String(s) => {
                 out.push('"');
-                out.push_str(&crate::report::json_escape(s));
+                out.push_str(&json_escape(s));
                 out.push('"');
             }
             Value::Array(items) => {
@@ -118,7 +121,7 @@ impl Value {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&crate::report::json_escape(key));
+                    out.push_str(&json_escape(key));
                     out.push_str("\":");
                     value.write(out);
                 }
@@ -126,6 +129,26 @@ impl Value {
             }
         }
     }
+}
+
+/// Escapes a string for inclusion inside a JSON string literal
+/// (backslash, quote, and control characters below U+0020).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Renders one JSON number: integers without a fraction inside the
@@ -438,8 +461,16 @@ mod tests {
     #[test]
     fn round_trips_the_engines_own_escaping() {
         let original = "say \"hi\"\nand\ttabs \\ plus \u{1} control";
-        let escaped = format!("\"{}\"", crate::report::json_escape(original));
+        let escaped = format!("\"{}\"", json_escape(original));
         assert_eq!(parse(&escaped).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn json_escapes_special_characters() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`engine`] — deterministic execution and JSON/CSV result rendering;
 //! * [`cli`] — the `diversim` binary (`list` / `run` / `sweep` /
 //!   `serve` / `report` / `docs`);
-//! * [`report`] — table rendering (text, TSV, CSV, JSON);
+//! * [`report`] — table rendering (text, CSV);
 //! * [`render`] — deterministic SVG line/band plots for the report book;
 //! * [`book`] — the reproduction report: `REPORT.md` + per-experiment
 //!   chapters generated from result documents;

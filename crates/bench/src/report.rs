@@ -1,17 +1,12 @@
 //! Table rendering for experiment reports: aligned plain text for
-//! humans, and TSV/CSV/JSON for machines.
+//! humans, and CSV for machines.
 //!
 //! Every experiment emits one or more [`Table`]s. The experiment engine
 //! (`crate::engine`) turns the collected tables of a run into one JSON
-//! and one CSV result file per experiment; standalone callers can also
-//! mirror tables to `DIVERSIM_TSV_DIR` as TSV (the legacy plotting
-//! hook).
-//!
-//! The JSON writer is hand-rolled: the workspace builds offline without
-//! `serde_json`, so the escaping lives here, in one audited place.
+//! result file per experiment, built as a [`crate::json::Value`], and
+//! one long-format CSV ([`tables_to_long_csv`]).
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Errors from building a table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,26 +55,6 @@ pub fn csv_escape(field: &str) -> String {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal
-/// (backslash, quote, and control characters below U+0020).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A simple column-aligned table.
 ///
 /// # Examples
@@ -92,7 +67,6 @@ pub fn json_escape(s: &str) -> String {
 /// let text = t.render();
 /// assert!(text.contains('x'));
 /// assert!(text.contains('1'));
-/// assert_eq!(t.to_csv(), "x,y\n1,2\n");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -135,13 +109,6 @@ impl Table {
     /// Panics if the cell count differs from the header count.
     pub fn row(&mut self, cells: &[String]) {
         self.try_row(cells).expect("row width mismatch");
-    }
-
-    /// Convenience: appends a row of formatted floats after a string key.
-    pub fn row_key_floats(&mut self, key: impl std::fmt::Display, values: &[f64]) {
-        let mut cells = vec![key.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.6}")));
-        self.row(&cells);
     }
 
     /// The table's title.
@@ -195,78 +162,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as TSV (headers + rows).
-    pub fn to_tsv(&self) -> String {
-        let mut out = self.headers.join("\t");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as RFC 4180 CSV (headers + rows, escaped).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let escape_line = |cells: &[String]| {
-            cells
-                .iter()
-                .map(|c| csv_escape(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        out.push_str(&escape_line(&self.headers));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&escape_line(row));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as a JSON object `{"title", "headers", "rows"}` (all
-    /// cells as strings, escaped).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"title\":\"{}\",", json_escape(&self.title));
-        let quoted = |cells: &[String]| {
-            cells
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let _ = write!(out, "\"headers\":[{}],", quoted(&self.headers));
-        out.push_str("\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{}]", quoted(row));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Prints the table to stdout and, if `DIVERSIM_TSV_DIR` is set,
-    /// writes `<dir>/<file_stem>.tsv`.
-    pub fn emit(&self, file_stem: &str) {
-        println!("{}", self.render());
-        self.mirror_tsv(file_stem);
-    }
-
-    /// Writes `<dir>/<file_stem>.tsv` if `DIVERSIM_TSV_DIR` is set
-    /// (without printing).
-    pub fn mirror_tsv(&self, file_stem: &str) {
-        if let Ok(dir) = std::env::var("DIVERSIM_TSV_DIR") {
-            let path = Path::new(&dir).join(format!("{file_stem}.tsv"));
-            if let Err(e) = std::fs::write(&path, self.to_tsv()) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-    }
 }
 
 /// Renders a set of tables as one long-format ("tidy") CSV with the
@@ -308,14 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn row_key_floats_formats() {
-        let mut t = Table::new("t", &["n", "a", "b"]);
-        t.row_key_floats(4, &[0.5, 0.25]);
-        let tsv = t.to_tsv();
-        assert!(tsv.contains("4\t0.500000\t0.250000"));
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn wrong_width_panics() {
         let mut t = Table::new("t", &["a", "b"]);
@@ -340,16 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn tsv_roundtrip_structure() {
-        let mut t = Table::new("t", &["h1", "h2"]);
-        t.row(&["x".into(), "y".into()]);
-        let tsv = t.to_tsv();
-        let mut lines = tsv.lines();
-        assert_eq!(lines.next(), Some("h1\th2"));
-        assert_eq!(lines.next(), Some("x\ty"));
-    }
-
-    #[test]
     fn csv_escapes_quotes_commas_and_newlines() {
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape("a,b"), "\"a,b\"");
@@ -358,28 +235,10 @@ mod tests {
 
         let mut t = Table::new("t", &["name", "note"]);
         t.row(&["x,y".into(), "he said \"go\"".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "name,note\n\"x,y\",\"he said \"\"go\"\"\"\n");
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn json_structure_is_well_formed() {
-        let mut t = Table::new("joint \"pfd\"", &["n", "value"]);
-        t.row(&["1".into(), "0.5".into()]);
-        t.row(&["2".into(), "0.25".into()]);
-        let json = t.to_json();
+        let csv = tables_to_long_csv(&[t]);
         assert_eq!(
-            json,
-            "{\"title\":\"joint \\\"pfd\\\"\",\"headers\":[\"n\",\"value\"],\
-             \"rows\":[[\"1\",\"0.5\"],[\"2\",\"0.25\"]]}"
+            csv,
+            "table,row,column,value\nt,0,name,\"x,y\"\nt,0,note,\"he said \"\"go\"\"\"\n"
         );
     }
 
@@ -401,11 +260,6 @@ mod tests {
     #[test]
     fn empty_table_serialises_cleanly() {
         let t = Table::new("empty", &["a"]);
-        assert_eq!(t.to_csv(), "a\n");
-        assert_eq!(
-            t.to_json(),
-            "{\"title\":\"empty\",\"headers\":[\"a\"],\"rows\":[]}"
-        );
         assert_eq!(tables_to_long_csv(&[t]), "table,row,column,value\n");
     }
 }

@@ -338,13 +338,11 @@ impl RunContext {
     }
 
     /// Records a finished table under a result-file stem, printing it
-    /// unless quiet and mirroring it to `DIVERSIM_TSV_DIR` if set (the
-    /// legacy per-table plotting hook).
+    /// unless quiet.
     pub fn emit(&mut self, table: Table, file_stem: &str) {
         if !self.quiet {
             println!("{}", table.render());
         }
-        table.mirror_tsv(file_stem);
         self.table_stems.push(file_stem.to_string());
         self.tables.push(table);
     }

@@ -334,7 +334,7 @@ impl Structure {
         }
         self.validate(probs.len())?;
         if !self.has_repeated_components() {
-            return Ok(self.gatewise_probability(probs));
+            return Ok(self.gatewise_probability(&|i| probs[i]));
         }
         let comps = self.components();
         if comps.len() > MAX_ENUMERATED_COMPONENTS {
@@ -362,16 +362,17 @@ impl Structure {
         Ok(total)
     }
 
-    /// Gate-wise probability recursion; callers must have validated the
-    /// tree and checked it is repeat-free.
-    pub(crate) fn gatewise_probability(&self, probs: &[f64]) -> f64 {
+    /// Gate-wise probability recursion over independent leaves, leaf `i`
+    /// failing with probability `leaf(i)`; callers must have validated
+    /// the tree and checked it is repeat-free.
+    fn gatewise_probability<F: Fn(usize) -> f64>(&self, leaf: &F) -> f64 {
         match self {
-            Structure::Component(i) => probs[*i],
-            Structure::And(cs) => cs.iter().map(|c| c.gatewise_probability(probs)).product(),
+            Structure::Component(i) => leaf(*i),
+            Structure::And(cs) => cs.iter().map(|c| c.gatewise_probability(leaf)).product(),
             Structure::Or(cs) => {
                 1.0 - cs
                     .iter()
-                    .map(|c| 1.0 - c.gatewise_probability(probs))
+                    .map(|c| 1.0 - c.gatewise_probability(leaf))
                     .product::<f64>()
             }
             Structure::KOutOfN { k, children } => {
@@ -385,7 +386,7 @@ impl Structure {
                 let mut dp = vec![0.0f64; children.len() + 1];
                 dp[0] = 1.0;
                 for (j, c) in children.iter().enumerate() {
-                    let q = c.gatewise_probability(probs);
+                    let q = c.gatewise_probability(leaf);
                     for m in (0..=j).rev() {
                         dp[m + 1] += dp[m] * q;
                         dp[m] *= 1.0 - q;
@@ -590,19 +591,22 @@ fn collect_gate_moments(
         Structure::Or(cs) => ("or", cs),
         Structure::KOutOfN { children, .. } => ("k-of-n", children),
     };
+    // Given the suite, components fail independently, so each child's
+    // probability is the gate-wise recursion over leaves `ξ_i(x, T)`.
     let mixed = profile.expect(|x| {
         measure.expect(|t| {
             let covered = t.demand_set();
+            let leaf = |i: usize| pops[i].xi(x, covered);
             children
                 .iter()
-                .map(|c| subtree_probability(c, pops, x, covered))
+                .map(|c| c.gatewise_probability(&leaf))
                 .product()
         })
     });
     let independent = profile.expect(|x| {
         children
             .iter()
-            .map(|c| measure.expect(|t| subtree_probability(c, pops, x, t.demand_set())))
+            .map(|c| measure.expect(|t| c.gatewise_probability(&|i| pops[i].xi(x, t.demand_set()))))
             .product()
     });
     out.push(GateMoment {
@@ -614,43 +618,6 @@ fn collect_gate_moments(
     for (j, c) in children.iter().enumerate() {
         let child_path = format!("{path}.{j}");
         collect_gate_moments(c, &child_path, pops, measure, profile, out);
-    }
-}
-
-/// Probability that a repeat-free subtree fails on `x` given the suite's
-/// covered demand set (components are conditionally independent given the
-/// suite).
-fn subtree_probability(
-    node: &Structure,
-    pops: &[&dyn TestedDifficulty],
-    x: DemandId,
-    covered: &BitSet,
-) -> f64 {
-    match node {
-        Structure::Component(i) => pops[*i].xi(x, covered),
-        Structure::And(cs) => cs
-            .iter()
-            .map(|c| subtree_probability(c, pops, x, covered))
-            .product(),
-        Structure::Or(cs) => {
-            1.0 - cs
-                .iter()
-                .map(|c| 1.0 - subtree_probability(c, pops, x, covered))
-                .product::<f64>()
-        }
-        Structure::KOutOfN { k, children } => {
-            let t = children.len() - k + 1;
-            let mut dp = vec![0.0f64; children.len() + 1];
-            dp[0] = 1.0;
-            for (j, c) in children.iter().enumerate() {
-                let q = subtree_probability(c, pops, x, covered);
-                for m in (0..=j).rev() {
-                    dp[m + 1] += dp[m] * q;
-                    dp[m] *= 1.0 - q;
-                }
-            }
-            dp[t..].iter().sum()
-        }
     }
 }
 

@@ -9,9 +9,9 @@
 //! the rule actually delivers: how many demands were spent and whether
 //! the achieved pfd meets the target. Adaptive studies are launched
 //! through [`crate::scenario::Scenario::adaptive`] and
-//! [`crate::scenario::Scenario::adaptive_study`]; demands are drawn from
-//! the scenario's *test* profile while the achieved pfd is evaluated on
-//! its operational profile.
+//! [`crate::scenario::Scenario::adaptive_study`]; demands are drawn
+//! i.i.d. from the scenario's operational profile, and each one is one
+//! [`debug_step`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +19,7 @@ use rand::SeedableRng;
 use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::{Count, Moments};
 use diversim_stats::stopping::{StoppingRule, StoppingState};
+use diversim_testing::process::debug_step;
 use diversim_universe::version::Version;
 
 use crate::scenario::Scenario;
@@ -30,8 +31,6 @@ pub struct AdaptiveOutcome {
     pub version: Version,
     /// Demands executed before the rule fired (or the cap was hit).
     pub demands_used: u64,
-    /// Failures observed during the campaign.
-    pub failures_observed: u64,
     /// `true` if the stopping rule fired; `false` if `max_demands` was
     /// reached first.
     pub stopped_by_rule: bool,
@@ -54,10 +53,10 @@ pub(crate) fn adaptive_campaign(
     let mut rng = StdRng::seed_from_u64(seed);
     let prepared = scenario.prepared();
     let model = prepared.model();
-    let test_profile = scenario.test_profile();
+    let profile = prepared.profile();
+    let (oracle, fixer) = (scenario.oracle(), scenario.fixer());
     let mut version = scenario.pop_a().sample(&mut rng);
     let mut state = StoppingState::new(rule);
-    let mut failures_observed = 0u64;
     let mut stopped_by_rule = false;
     while state.demands() < max_demands {
         if state
@@ -67,17 +66,9 @@ pub(crate) fn adaptive_campaign(
             stopped_by_rule = true;
             break;
         }
-        let x = test_profile.sample(&mut rng);
-        let failed = version.fails_on(model, x);
-        let detected = failed && scenario.oracle().detects(&mut rng, x);
-        if failed {
-            failures_observed += 1;
-        }
-        if detected {
-            scenario.fixer().fix(&mut rng, model, &mut version, x);
-        }
+        let x = profile.sample(&mut rng);
         // The rule sees the oracle's verdict, not the ground truth.
-        state.record(detected);
+        state.record(debug_step(&mut version, x, model, oracle, fixer, &mut rng));
     }
     if !stopped_by_rule && state.should_stop().expect("validated") {
         stopped_by_rule = true;
@@ -85,7 +76,6 @@ pub(crate) fn adaptive_campaign(
     AdaptiveOutcome {
         achieved_pfd: prepared.version_pfd(&version),
         demands_used: state.demands(),
-        failures_observed,
         stopped_by_rule,
         version,
     }

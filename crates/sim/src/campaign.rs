@@ -1,26 +1,31 @@
-//! One simulated development-and-debugging campaign for a version pair.
+//! One simulated development-and-debugging campaign for a version pair,
+//! and the regime dispatch every campaign shares.
 //!
 //! A campaign mirrors the paper's stochastic process end to end: draw
-//! `Π_A ~ S_A`, `Π_B ~ S_B`, draw suite(s) from the generation procedure,
-//! debug under the chosen regime (independent suites, shared suite or
-//! back-to-back), and evaluate the resulting versions. The per-campaign
-//! pfds are computed *exactly* over the demand space (no sampling of
-//! operational demands), which Rao–Blackwellises the estimator: the only
-//! Monte Carlo noise left is over versions and suites, exactly the
-//! uncertainty the paper's expectations range over.
+//! `Π_A ~ S_A`, `Π_B ~ S_B`, debug under the chosen regime, and evaluate
+//! the resulting versions. The per-campaign pfds are computed *exactly*
+//! over the demand space (no sampling of operational demands), which
+//! Rao–Blackwellises the estimator: the only Monte Carlo noise left is
+//! over versions and suites, exactly the uncertainty the paper's
+//! expectations range over.
 //!
-//! Campaigns are launched through [`crate::scenario::Scenario::run`]; the
-//! scenario supplies the world, the process knobs and the per-world
-//! [`crate::prepared::Prepared`] cache the evaluation runs on.
+//! `debug_in_regime` is the one place a regime becomes debugging: the
+//! pair campaign, the system campaign ([`crate::system`]) and the policy
+//! studies ([`crate::policy`]) all draw their versions and hand them to
+//! it. Campaigns are launched through
+//! [`crate::scenario::Scenario::run`]; the scenario supplies the world,
+//! the process knobs and the per-world [`crate::prepared::Prepared`]
+//! cache the evaluation runs on.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use diversim_testing::oracle::IdenticalFailureModel;
-use diversim_testing::process::{back_to_back_debug, debug_version};
+use diversim_testing::process::{back_to_back_debug, debug_in_place};
+use diversim_testing::suite::TestSuite;
 use diversim_universe::version::Version;
 
-use crate::policy::PolicySpec;
+use crate::policy::{AllocationProfile, PolicySpec, PolicyStep};
 use crate::scenario::Scenario;
 
 /// The testing regime a campaign runs under.
@@ -61,67 +66,74 @@ pub struct PairOutcome {
     pub system_pfd_before: f64,
 }
 
-/// Runs one campaign of `scenario` (the body behind
-/// [`Scenario::run`]).
+/// Debugs freshly drawn `versions` in place under the scenario's regime,
+/// continuing the campaign's `rng` stream:
 ///
-/// `suite_size` demands are drawn per suite (one suite per version under
-/// [`CampaignRegime::IndependentSuites`], one shared suite otherwise).
-/// The oracle is consulted only under [`CampaignRegime::SharedSuite`] and
-/// [`CampaignRegime::IndependentSuites`]; back-to-back supplies its own
-/// detection semantics.
-pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
-    if let CampaignRegime::Adaptive(spec) = scenario.regime() {
-        return crate::policy::run_adaptive_campaign(scenario, spec, seed, None).0;
+/// * independent suites — one suite of `suite_size` demands per version,
+///   generated in version order, then each version debugged on its own;
+/// * shared suite — one suite, every version debugged on it in order;
+/// * back-to-back — one suite, the pair compared demand by demand;
+/// * adaptive — the pair under [`crate::policy::allocate`], which appends
+///   each decision to `steps` when given.
+///
+/// Returns the realised allocation profile (empty for the suite
+/// regimes). Pair-only regimes require exactly two versions, which
+/// scenario validation guarantees.
+pub(crate) fn debug_in_regime(
+    scenario: &Scenario,
+    versions: &mut [Version],
+    rng: &mut StdRng,
+    steps: Option<&mut Vec<PolicyStep>>,
+) -> AllocationProfile {
+    let model = scenario.model();
+    let (oracle, fixer) = (scenario.oracle(), scenario.fixer());
+    let generate = |rng: &mut StdRng| scenario.generator().generate(rng, scenario.suite_size());
+    match (scenario.regime(), versions) {
+        (CampaignRegime::IndependentSuites, versions) => {
+            let suites: Vec<TestSuite> = versions.iter().map(|_| generate(rng)).collect();
+            for (version, suite) in versions.iter_mut().zip(&suites) {
+                debug_in_place(version, suite, model, oracle, fixer, rng);
+            }
+        }
+        (CampaignRegime::SharedSuite, versions) => {
+            let suite = generate(rng);
+            for version in versions {
+                debug_in_place(version, &suite, model, oracle, fixer, rng);
+            }
+        }
+        (CampaignRegime::BackToBack(identical), [first, second]) => {
+            let suite = generate(rng);
+            back_to_back_debug(first, second, &suite, model, identical, fixer, rng);
+        }
+        (CampaignRegime::Adaptive(spec), [first, second]) => {
+            return crate::policy::allocate(scenario, spec, first, second, rng, steps);
+        }
+        (_, versions) => unreachable!(
+            "pair-only regime validated against two versions, got {}",
+            versions.len()
+        ),
     }
+    AllocationProfile::default()
+}
+
+/// Draws a campaign's pair from the start of its `rng` stream:
+/// `Π_A ~ S_A`, then `Π_B ~ S_B`.
+fn draw_pair(scenario: &Scenario, rng: &mut StdRng) -> [Version; 2] {
+    [scenario.pop_a().sample(rng), scenario.pop_b().sample(rng)]
+}
+
+/// Runs one campaign of `scenario` (the body behind
+/// [`Scenario::run`]): draws the pair, evaluates it, debugs it under
+/// [`debug_in_regime`] and evaluates it again.
+pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let prepared = scenario.prepared();
-    let model = prepared.model();
-    let generator = scenario.generator();
-    let suite_size = scenario.suite_size();
-    let va = scenario.pop_a().sample(&mut rng);
-    let vb = scenario.pop_b().sample(&mut rng);
-    let first_pfd_before = prepared.version_pfd(&va);
-    let second_pfd_before = prepared.version_pfd(&vb);
-    let system_pfd_before = prepared.pair_pfd(&va, &vb);
-
-    // Version B's own suite exists only under independent suites; the
-    // shared regimes borrow version A's.
-    let ta = generator.generate(&mut rng, suite_size);
-    let own_tb = match scenario.regime() {
-        CampaignRegime::IndependentSuites => Some(generator.generate(&mut rng, suite_size)),
-        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => None,
-        CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
-    };
-    let tb = own_tb.as_ref().unwrap_or(&ta);
-
-    let (first, second) = match scenario.regime() {
-        CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {
-            let a = debug_version(
-                &va,
-                &ta,
-                model,
-                scenario.oracle(),
-                scenario.fixer(),
-                &mut rng,
-            );
-            let b = debug_version(
-                &vb,
-                tb,
-                model,
-                scenario.oracle(),
-                scenario.fixer(),
-                &mut rng,
-            );
-            (a.version, b.version)
-        }
-        CampaignRegime::BackToBack(identical) => {
-            let out =
-                back_to_back_debug(&va, &vb, &ta, model, identical, scenario.fixer(), &mut rng);
-            (out.first, out.second)
-        }
-        CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
-    };
-
+    let mut pair = draw_pair(scenario, &mut rng);
+    let first_pfd_before = prepared.version_pfd(&pair[0]);
+    let second_pfd_before = prepared.version_pfd(&pair[1]);
+    let system_pfd_before = prepared.pair_pfd(&pair[0], &pair[1]);
+    debug_in_regime(scenario, &mut pair, &mut rng, None);
+    let [first, second] = pair;
     PairOutcome {
         first_pfd: prepared.version_pfd(&first),
         second_pfd: prepared.version_pfd(&second),
@@ -132,6 +144,21 @@ pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
         second_pfd_before,
         system_pfd_before,
     }
+}
+
+/// The allocation profile of one adaptive campaign (the body behind
+/// [`Scenario::policy_trace`] and [`Scenario::policy_study`]), with the
+/// debugged pair it was realised on: the pair is drawn and debugged
+/// exactly as in [`run_campaign`], with no pfd evaluated.
+pub(crate) fn allocation_profile(
+    scenario: &Scenario,
+    seed: u64,
+    steps: Option<&mut Vec<PolicyStep>>,
+) -> (AllocationProfile, [Version; 2]) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pair = draw_pair(scenario, &mut rng);
+    let profile = debug_in_regime(scenario, &mut pair, &mut rng, steps);
+    (profile, pair)
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use rand::SeedableRng;
 
 use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::{ElementWise, Moments};
+use diversim_testing::process::{back_to_back_step, debug_step, debug_version};
 use diversim_testing::suite::TestSuite;
 use diversim_universe::version::Version;
 
@@ -95,13 +96,8 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
     // Version B's own stream exists only under independent suites; the
     // shared regimes borrow version A's.
     let stream_a = scenario.generator().generate(&mut rng, total);
-    let own_b = match regime {
-        CampaignRegime::IndependentSuites => Some(scenario.generator().generate(&mut rng, total)),
-        CampaignRegime::SharedSuite | CampaignRegime::BackToBack(_) => None,
-        CampaignRegime::Adaptive(_) => {
-            unreachable!("growth studies reject adaptive regimes at the scenario layer")
-        }
-    };
+    let own_b = matches!(regime, CampaignRegime::IndependentSuites)
+        .then(|| scenario.generator().generate(&mut rng, total));
     let stream_b = own_b.as_ref().unwrap_or(&stream_a);
 
     let mut sample = GrowthSample {
@@ -117,41 +113,22 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
         next_checkpoint += 1;
     }
 
+    let (oracle, fixer) = (scenario.oracle(), scenario.fixer());
     for step in 0..total {
         let xa = stream_a.demands().get(step).copied();
         let xb = stream_b.demands().get(step).copied();
         match regime {
             CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {
                 if let Some(x) = xa {
-                    if va.fails_on(model, x) && scenario.oracle().detects(&mut rng, x) {
-                        scenario.fixer().fix(&mut rng, model, &mut va, x);
-                    }
+                    debug_step(&mut va, x, model, oracle, fixer, &mut rng);
                 }
                 if let Some(x) = xb {
-                    if vb.fails_on(model, x) && scenario.oracle().detects(&mut rng, x) {
-                        scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                    }
+                    debug_step(&mut vb, x, model, oracle, fixer, &mut rng);
                 }
             }
             CampaignRegime::BackToBack(identical) => {
                 if let Some(x) = xa {
-                    let fa = va.fails_on(model, x);
-                    let fb = vb.fails_on(model, x);
-                    match (fa, fb) {
-                        (false, false) => {}
-                        (true, false) => {
-                            scenario.fixer().fix(&mut rng, model, &mut va, x);
-                        }
-                        (false, true) => {
-                            scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                        }
-                        (true, true) => {
-                            if !identical.is_identical(&mut rng) {
-                                scenario.fixer().fix(&mut rng, model, &mut va, x);
-                                scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                            }
-                        }
-                    }
+                    back_to_back_step(&mut va, &mut vb, x, model, identical, fixer, &mut rng);
                 }
             }
             CampaignRegime::Adaptive(_) => {
@@ -248,12 +225,12 @@ pub(crate) fn merged_comparison(scenario: &Scenario, n: usize, seed: u64) -> Mer
     let fixer = scenario.fixer();
 
     // Arm (a): independent suites, one per version.
-    let a1 = diversim_testing::process::debug_version(&va, &t1, model, oracle, fixer, &mut rng);
-    let a2 = diversim_testing::process::debug_version(&vb, &t2, model, oracle, fixer, &mut rng);
+    let a1 = debug_version(&va, &t1, model, oracle, fixer, &mut rng);
+    let a2 = debug_version(&vb, &t2, model, oracle, fixer, &mut rng);
 
     // Arm (b): both versions on the merged 2n suite.
-    let b1 = diversim_testing::process::debug_version(&va, &merged, model, oracle, fixer, &mut rng);
-    let b2 = diversim_testing::process::debug_version(&vb, &merged, model, oracle, fixer, &mut rng);
+    let b1 = debug_version(&va, &merged, model, oracle, fixer, &mut rng);
+    let b2 = debug_version(&vb, &merged, model, oracle, fixer, &mut rng);
 
     MergedComparison {
         independent_system: prepared.pair_pfd(&a1.version, &a2.version),
@@ -330,6 +307,43 @@ mod tests {
         assert!(out.version_a[0] >= out.version_a[1] - 1e-15);
         assert_eq!(out.checkpoints, vec![0, 3]);
         assert_eq!(out.version_a.len(), 2);
+    }
+
+    #[test]
+    fn final_checkpoint_replays_the_campaign() {
+        // With the perfect oracle and fixer, debugging draws no
+        // randomness, so growth's demand-by-demand interleaving of the
+        // two versions ends where the campaign's version-by-version
+        // debugging does: same versions, same suites, same pfds.
+        for regime in [
+            CampaignRegime::SharedSuite,
+            CampaignRegime::IndependentSuites,
+            CampaignRegime::BackToBack(IdenticalFailureModel::Never),
+            CampaignRegime::BackToBack(IdenticalFailureModel::Always),
+        ] {
+            let s = scenario(8, 0.5, regime, 0);
+            for n in [1, 4, 9] {
+                let campaign = s.with_suite_size(n);
+                for seed in 0..10 {
+                    let growth = s.growth_sample(&[n], seed).unwrap();
+                    let out = campaign.run(seed);
+                    let last = |curve: &[f64]| curve[curve.len() - 1].to_bits();
+                    assert_eq!(
+                        (
+                            last(&growth.version_a),
+                            last(&growth.version_b),
+                            last(&growth.system)
+                        ),
+                        (
+                            out.first_pfd.to_bits(),
+                            out.second_pfd.to_bits(),
+                            out.system_pfd.to_bits()
+                        ),
+                        "{regime:?}, n = {n}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,13 @@
 //!   for any thread count and job panics re-raise with their
 //!   replication index.
 //!
+//! Every study debugs through one path: each test demand is one
+//! [`diversim_testing::process::debug_step`] (§4.1) or
+//! [`diversim_testing::process::back_to_back_step`] (§4.2), and the
+//! pair, system and adaptive-allocation campaigns share one regime
+//! dispatch in [`campaign`]. Stopping-rule and adaptive-allocation
+//! campaigns draw their demands from the operational profile.
+//!
 //! # Examples
 //!
 //! ```

@@ -10,8 +10,12 @@
 //!
 //! Campaigns run under [`crate::campaign::CampaignRegime::Adaptive`]:
 //! the scenario's `suite_size` is reinterpreted as the *total execution
-//! budget* `B`. Each decision allocates the next test demand (drawn
-//! i.i.d. from the scenario's test profile, as in [`crate::adaptive`]):
+//! budget* `B`. The campaign draws its pair and dispatches on the regime
+//! in `campaign::debug_in_regime`, like every other campaign; this
+//! module holds only the budget loop (`allocate`). Each decision
+//! allocates the next test demand (drawn i.i.d. from the scenario's
+//! operational profile, as in [`crate::adaptive`]), and each execution
+//! is one [`debug_step`]:
 //!
 //! * [`Allocation::VersionA`] / [`Allocation::VersionB`] — one private
 //!   execution (costs 1);
@@ -31,13 +35,15 @@
 //! draw, version-A execution, version-B execution — so traces and
 //! outcomes are byte-identical across processes and thread counts.
 
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::Moments;
 use diversim_stats::stopping::{StoppingRule, StoppingState};
+use diversim_testing::process::debug_step;
+use diversim_universe::version::Version;
 
-use crate::campaign::PairOutcome;
 use crate::scenario::{Scenario, ScenarioError};
 
 /// An allocation policy: a declarative, serialisable value — carried by
@@ -331,76 +337,53 @@ pub struct PolicyTrace {
     pub profile: AllocationProfile,
 }
 
-/// Runs one adaptive campaign (the body behind
-/// [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive)):
-/// versions are drawn exactly as in [`crate::campaign::run_campaign`],
-/// then the policy spends the execution budget demand by demand. Each
-/// decision is appended to `steps` when given; only
-/// [`Scenario::policy_trace`] asks for them, so replicated campaigns
-/// record nothing.
-pub(crate) fn run_adaptive_campaign(
+/// The budget loop of an adaptive campaign (the
+/// [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive)
+/// arm of [`crate::campaign::debug_in_regime`]): the policy spends the
+/// scenario's execution budget on the freshly drawn pair demand by
+/// demand, each execution one [`debug_step`]. Each decision is appended
+/// to `steps` when given; only [`Scenario::policy_trace`] asks for them,
+/// so replicated campaigns record nothing.
+pub(crate) fn allocate(
     scenario: &Scenario,
     spec: PolicySpec,
-    seed: u64,
+    first: &mut Version,
+    second: &mut Version,
+    rng: &mut StdRng,
     mut steps: Option<&mut Vec<PolicyStep>>,
-) -> (PairOutcome, AllocationProfile) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let prepared = scenario.prepared();
-    let model = prepared.model();
-    let test_profile = scenario.test_profile();
-    let mut va = scenario.pop_a().sample(&mut rng);
-    let mut vb = scenario.pop_b().sample(&mut rng);
-    let first_pfd_before = prepared.version_pfd(&va);
-    let second_pfd_before = prepared.version_pfd(&vb);
-    let system_pfd_before = prepared.pair_pfd(&va, &vb);
-
-    let budget = scenario.suite_size() as u64;
-    let mut signals = PolicySignals::new(budget);
+) -> AllocationProfile {
+    let model = scenario.model();
+    let operational = scenario.profile();
+    let debug = |version: &mut Version, x, rng: &mut StdRng| {
+        debug_step(version, x, model, scenario.oracle(), scenario.fixer(), rng)
+    };
+    let mut signals = PolicySignals::new(scenario.suite_size() as u64);
     let mut profile = AllocationProfile::default();
 
     while signals.remaining() > 0 {
-        let mut allocation = spec.decide(&signals, &mut rng);
+        let mut allocation = spec.decide(&signals, rng);
         if allocation == Allocation::Both && signals.remaining() < 2 {
             // Budget coercion: a shared demand no longer fits; fall back
             // to the parity pick so conservation holds exactly.
             allocation = parity_pick(signals.step());
         }
-        let x = test_profile.sample(&mut rng);
+        let x = operational.sample(rng);
         let (detected_a, detected_b) = match allocation {
             Allocation::VersionA => {
-                let failed = va.fails_on(model, x);
-                let detected = failed && scenario.oracle().detects(&mut rng, x);
-                if detected {
-                    scenario.fixer().fix(&mut rng, model, &mut va, x);
-                }
+                let detected = debug(first, x, rng);
                 signals.record_a(detected);
                 profile.only_a += 1;
                 (detected, false)
             }
             Allocation::VersionB => {
-                let failed = vb.fails_on(model, x);
-                let detected = failed && scenario.oracle().detects(&mut rng, x);
-                if detected {
-                    scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                }
+                let detected = debug(second, x, rng);
                 signals.record_b(detected);
                 profile.only_b += 1;
                 (false, detected)
             }
             Allocation::Both => {
-                let failed_a = va.fails_on(model, x);
-                let detected_a = failed_a && scenario.oracle().detects(&mut rng, x);
-                if detected_a {
-                    scenario.fixer().fix(&mut rng, model, &mut va, x);
-                }
-                let failed_b = vb.fails_on(model, x);
-                let detected_b = failed_b && scenario.oracle().detects(&mut rng, x);
-                if detected_b {
-                    scenario.fixer().fix(&mut rng, model, &mut vb, x);
-                }
+                let detected_a = debug(first, x, rng);
+                let detected_b = debug(second, x, rng);
                 signals.record_both(detected_a, detected_b);
                 profile.shared += 1;
                 (detected_a, detected_b)
@@ -420,18 +403,7 @@ pub(crate) fn run_adaptive_campaign(
             });
         }
     }
-
-    let outcome = PairOutcome {
-        first_pfd: prepared.version_pfd(&va),
-        second_pfd: prepared.version_pfd(&vb),
-        system_pfd: prepared.pair_pfd(&va, &vb),
-        first: va,
-        second: vb,
-        first_pfd_before,
-        second_pfd_before,
-        system_pfd_before,
-    };
-    (outcome, profile)
+    profile
 }
 
 /// Aggregate allocation behaviour of a replicated adaptive study.
@@ -450,16 +422,11 @@ pub struct PolicyStudy {
 /// The body behind [`Scenario::policy_study`]: replicated adaptive
 /// campaigns reduced to allocation statistics. Deterministic for any
 /// thread count.
-pub(crate) fn policy_study(
-    scenario: &Scenario,
-    spec: PolicySpec,
-    replications: u64,
-    threads: usize,
-) -> PolicyStudy {
+pub(crate) fn policy_study(scenario: &Scenario, replications: u64, threads: usize) -> PolicyStudy {
     let reducer = (Moments, Moments, Moments, Moments);
     let (shared_fraction, only_a, only_b, shared) =
         scenario.reduce(replications, threads, &reducer, |seed| {
-            let (_, p) = run_adaptive_campaign(scenario, spec, seed, None);
+            let (p, _) = crate::campaign::allocation_profile(scenario, seed, None);
             (
                 p.shared_fraction(),
                 p.only_a as f64,
@@ -478,7 +445,7 @@ pub(crate) fn policy_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CampaignRegime;
+    use crate::campaign::{allocation_profile, CampaignRegime};
     use crate::world::World;
 
     fn scenario(props: Vec<f64>, budget: usize, spec: PolicySpec) -> Scenario {
@@ -519,12 +486,14 @@ mod tests {
             for budget in 0..=33 {
                 let s = scenario(vec![0.4, 0.6, 0.3, 0.5, 0.2], budget, spec);
                 for seed in 0..3 {
-                    let (free, free_profile) = run_adaptive_campaign(&s, spec, seed, None);
+                    let (free, free_pair) = allocation_profile(&s, seed, None);
                     let mut steps = Vec::new();
-                    let (traced, profile) = run_adaptive_campaign(&s, spec, seed, Some(&mut steps));
-                    assert_eq!(free, traced, "{spec} at budget {budget}, seed {seed}");
-                    assert_eq!(free_profile, profile);
-                    assert_eq!(s.run(seed), traced);
+                    let (profile, pair) = allocation_profile(&s, seed, Some(&mut steps));
+                    assert_eq!(free, profile, "{spec} at budget {budget}, seed {seed}");
+                    assert_eq!(free_pair, pair, "{spec} at budget {budget}, seed {seed}");
+                    // The profile describes the campaign `run` executes.
+                    let run = s.run(seed);
+                    assert_eq!(pair, [run.first, run.second]);
                     // The trace holds every decision, and the decisions
                     // add up to the profile.
                     let trace = s.policy_trace(seed).unwrap();

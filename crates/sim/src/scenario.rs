@@ -172,7 +172,7 @@ pub enum ScenarioError {
     ModelMismatch,
     /// A component disagrees with the populations' demand space.
     SpaceMismatch {
-        /// Which component (`"profile"`, `"generator"`, `"test profile"`).
+        /// Which component (`"profile"`, `"generator"`).
         what: &'static str,
         /// The populations' demand-space size.
         expected: usize,
@@ -330,7 +330,6 @@ pub struct ScenarioBuilder {
     pop_b: Option<Arc<dyn Population>>,
     system: Option<SystemSpec>,
     profile: Option<UsageProfile>,
-    test_profile: Option<UsageProfile>,
     generator: Option<Arc<dyn SuiteGenerator>>,
     oracle: Arc<dyn Oracle>,
     fixer: Arc<dyn Fixer>,
@@ -353,7 +352,6 @@ impl ScenarioBuilder {
             pop_b: None,
             system: None,
             profile: None,
-            test_profile: None,
             generator: None,
             oracle: Arc::new(PerfectOracle::new()),
             fixer: Arc::new(PerfectFixer::new()),
@@ -409,13 +407,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// A separate test profile for [`Scenario::adaptive`] campaigns
-    /// (defaults to the operational profile).
-    pub fn test_profile(mut self, profile: UsageProfile) -> Self {
-        self.test_profile = Some(profile);
-        self
-    }
-
     /// The suite-generation procedure `M(·)` (defaults to i.i.d. draws
     /// from the operational profile via [`ProfileGenerator`]).
     pub fn generator<G: SuiteGenerator + 'static>(mut self, generator: G) -> Self {
@@ -466,8 +457,8 @@ impl ScenarioBuilder {
     /// * [`ScenarioError::Missing`] — no population or no profile;
     /// * [`ScenarioError::ModelMismatch`] — the populations' fault models
     ///   differ;
-    /// * [`ScenarioError::SpaceMismatch`] — profile, generator or test
-    ///   profile cover a different demand space than the populations;
+    /// * [`ScenarioError::SpaceMismatch`] — profile or generator cover a
+    ///   different demand space than the populations;
     /// * [`ScenarioError::SuiteTooLarge`] — suite size above
     ///   [`MAX_SUITE_SIZE`];
     /// * [`ScenarioError::InvalidPolicy`] — an adaptive regime whose
@@ -515,15 +506,6 @@ impl ScenarioBuilder {
             }
             None => Arc::new(ProfileGenerator::new(profile.clone())) as Arc<dyn SuiteGenerator>,
         };
-        if let Some(test_profile) = &self.test_profile {
-            if test_profile.space() != space {
-                return Err(ScenarioError::SpaceMismatch {
-                    what: "test profile",
-                    expected: space.len(),
-                    found: test_profile.space().len(),
-                });
-            }
-        }
         if self.suite_size > MAX_SUITE_SIZE {
             return Err(ScenarioError::SuiteTooLarge {
                 size: self.suite_size,
@@ -546,7 +528,6 @@ impl ScenarioBuilder {
             regime: self.regime,
             suite_size: self.suite_size,
             seeds: self.seeds,
-            test_profile: self.test_profile.map(Arc::new),
             system: self.system.map(Arc::new),
             prepared,
         })
@@ -568,7 +549,6 @@ pub struct Scenario {
     regime: CampaignRegime,
     suite_size: usize,
     seeds: SeedPolicy,
-    test_profile: Option<Arc<UsageProfile>>,
     system: Option<Arc<SystemSpec>>,
     prepared: Arc<Prepared>,
 }
@@ -643,10 +623,11 @@ impl Scenario {
         Ok(())
     }
 
-    pub(crate) fn test_profile(&self) -> &UsageProfile {
-        self.test_profile
-            .as_deref()
-            .unwrap_or_else(|| self.prepared.profile())
+    fn require_adaptive_regime(&self) -> Result<(), ScenarioError> {
+        if !matches!(self.regime, CampaignRegime::Adaptive(_)) {
+            return Err(ScenarioError::NotAdaptive);
+        }
+        Ok(())
     }
 
     /// Streams `replications` jobs through the deterministic
@@ -881,8 +862,9 @@ impl Scenario {
     }
 
     /// One adaptive campaign: a freshly drawn version is debugged on
-    /// demands drawn i.i.d. from the test profile until `rule` fires (or
-    /// `max_demands` is reached). The rule sees only *detected* failures.
+    /// demands drawn i.i.d. from the operational profile until `rule`
+    /// fires (or `max_demands` is reached). The rule sees only *detected*
+    /// failures.
     pub fn adaptive(&self, rule: StoppingRule, max_demands: u64, seed: u64) -> AdaptiveOutcome {
         crate::adaptive::adaptive_campaign(self, rule, max_demands, seed)
     }
@@ -914,15 +896,10 @@ impl Scenario {
     /// [`ScenarioError::NotAdaptive`] unless the scenario's regime is
     /// [`CampaignRegime::Adaptive`].
     pub fn policy_trace(&self, seed: u64) -> Result<PolicyTrace, ScenarioError> {
-        match self.regime {
-            CampaignRegime::Adaptive(spec) => {
-                let mut steps = Vec::new();
-                let (_, profile) =
-                    crate::policy::run_adaptive_campaign(self, spec, seed, Some(&mut steps));
-                Ok(PolicyTrace { steps, profile })
-            }
-            _ => Err(ScenarioError::NotAdaptive),
-        }
+        self.require_adaptive_regime()?;
+        let mut steps = Vec::new();
+        let (profile, _) = crate::campaign::allocation_profile(self, seed, Some(&mut steps));
+        Ok(PolicyTrace { steps, profile })
     }
 
     /// Replicated adaptive campaigns reduced to allocation statistics
@@ -942,15 +919,8 @@ impl Scenario {
         replications: u64,
         threads: usize,
     ) -> Result<PolicyStudy, ScenarioError> {
-        match self.regime {
-            CampaignRegime::Adaptive(spec) => Ok(crate::policy::policy_study(
-                self,
-                spec,
-                replications,
-                threads,
-            )),
-            _ => Err(ScenarioError::NotAdaptive),
-        }
+        self.require_adaptive_regime()?;
+        Ok(crate::policy::policy_study(self, replications, threads))
     }
 
     /// Exposes a concrete (already tested) pair to `demands` operational
@@ -1108,21 +1078,6 @@ mod tests {
                 what: "generator",
                 expected: 3,
                 found: 7
-            }
-        );
-    }
-
-    #[test]
-    fn mismatched_test_profile_is_rejected() {
-        let w = world();
-        let wrong = UsageProfile::uniform(DemandSpace::new(2).unwrap());
-        let err = w.scenario().test_profile(wrong).build().unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::SpaceMismatch {
-                what: "test profile",
-                expected: 3,
-                found: 2
             }
         );
     }

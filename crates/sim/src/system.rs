@@ -16,14 +16,15 @@
 //! * **independent suites** — one suite per component, generated in
 //!   component order (the conditional-independence regime);
 //! * **back-to-back / adaptive** — pair-only semantics, accepted exactly
-//!   when the system has two components and delegated to the pair
-//!   machinery, so the flat path and the structure path cannot drift.
+//!   when the system has two components.
 //!
-//! Replication rng order is fixed and component-indexed — sample every
-//! version in index order, then generate suite(s), then debug in index
-//! order — so a two-component 1-out-of-2 system reproduces
-//! [`Scenario::run`] bit for bit, and every estimate is byte-identical
-//! for any worker-thread count.
+//! The pair campaign and the system campaign share one regime dispatch
+//! (`campaign::debug_in_regime`), so the flat path and the structure
+//! path cannot drift. Replication rng order is fixed and
+//! component-indexed — sample every version in index order, then
+//! generate suite(s), then debug in index order — so a two-component
+//! 1-out-of-2 system reproduces [`Scenario::run`] bit for bit, and every
+//! estimate is byte-identical for any worker-thread count.
 //!
 //! # Examples
 //!
@@ -55,11 +56,10 @@ use rand::SeedableRng;
 use diversim_core::error::CoreError;
 use diversim_core::structure::Structure;
 use diversim_stats::reduce::{ElementWise, Moments};
-use diversim_testing::process::{back_to_back_debug, debug_version};
 use diversim_universe::population::Population;
 use diversim_universe::version::Version;
 
-use crate::campaign::CampaignRegime;
+use crate::campaign::{debug_in_regime, CampaignRegime};
 use crate::estimate::Estimate;
 use crate::scenario::{Scenario, ScenarioError};
 
@@ -202,93 +202,24 @@ pub(crate) fn run_system(scenario: &Scenario, seed: u64) -> Result<SystemOutcome
 }
 
 /// One validated system campaign (callers hold a spec the scenario's
-/// regime accepts).
+/// regime accepts), in the rng order of the module docs.
 fn run_system_campaign(scenario: &Scenario, spec: &SystemSpec, seed: u64) -> SystemOutcome {
     let structure = spec.structure();
     let prepared = scenario.prepared();
-
-    if let CampaignRegime::Adaptive(policy) = scenario.regime() {
-        // Two components by validation: run the pair's adaptive budget
-        // allocation, then evaluate the structure over its versions.
-        // Every pair campaign starts by seeding StdRng with `seed` and
-        // sampling A then B, so the pre-debugging pair is re-drawn
-        // exactly.
-        let out = crate::policy::run_adaptive_campaign(scenario, policy, seed, None).0;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let va = spec.populations()[0].sample(&mut rng);
-        let vb = spec.populations()[1].sample(&mut rng);
-        let system_pfd_before = prepared.structure_pfd(&[&va, &vb], structure);
-        let system_pfd = prepared.structure_pfd(&[&out.first, &out.second], structure);
-        return SystemOutcome {
-            component_pfds_before: vec![out.first_pfd_before, out.second_pfd_before],
-            component_pfds: vec![out.first_pfd, out.second_pfd],
-            versions: vec![out.first, out.second],
-            system_pfd_before,
-            system_pfd,
-        };
-    }
-
-    // rng order mirrors the pair campaign: sample every component in
-    // index order, generate suite(s), debug in index order — so a
-    // two-component system replays `run_campaign`'s stream exactly.
     let mut rng = StdRng::seed_from_u64(seed);
-    let model = prepared.model();
-    let generator = scenario.generator();
-    let suite_size = scenario.suite_size();
-
-    let before: Vec<Version> = spec
+    let mut versions: Vec<Version> = spec
         .populations()
         .iter()
         .map(|pop| pop.sample(&mut rng))
         .collect();
-    let component_pfds_before: Vec<f64> = before.iter().map(|v| prepared.version_pfd(v)).collect();
-    let refs: Vec<&Version> = before.iter().collect();
-    let system_pfd_before = prepared.structure_pfd(&refs, structure);
-
-    let versions: Vec<Version> = match scenario.regime() {
-        CampaignRegime::IndependentSuites => {
-            let suites: Vec<_> = (0..before.len())
-                .map(|_| generator.generate(&mut rng, suite_size))
-                .collect();
-            before
-                .iter()
-                .zip(&suites)
-                .map(|(v, t)| {
-                    debug_version(v, t, model, scenario.oracle(), scenario.fixer(), &mut rng)
-                        .version
-                })
-                .collect()
-        }
-        CampaignRegime::SharedSuite => {
-            let t = generator.generate(&mut rng, suite_size);
-            before
-                .iter()
-                .map(|v| {
-                    debug_version(v, &t, model, scenario.oracle(), scenario.fixer(), &mut rng)
-                        .version
-                })
-                .collect()
-        }
-        CampaignRegime::BackToBack(identical) => {
-            let t = generator.generate(&mut rng, suite_size);
-            let out = back_to_back_debug(
-                &before[0],
-                &before[1],
-                &t,
-                model,
-                identical,
-                scenario.fixer(),
-                &mut rng,
-            );
-            vec![out.first, out.second]
-        }
-        CampaignRegime::Adaptive(_) => unreachable!("adaptive campaigns are delegated above"),
+    let pfds = |versions: &[Version]| -> (Vec<f64>, f64) {
+        let refs: Vec<&Version> = versions.iter().collect();
+        let components = versions.iter().map(|v| prepared.version_pfd(v)).collect();
+        (components, prepared.structure_pfd(&refs, structure))
     };
-
-    let component_pfds: Vec<f64> = versions.iter().map(|v| prepared.version_pfd(v)).collect();
-    let refs: Vec<&Version> = versions.iter().collect();
-    let system_pfd = prepared.structure_pfd(&refs, structure);
-
+    let (component_pfds_before, system_pfd_before) = pfds(&versions);
+    debug_in_regime(scenario, &mut versions, &mut rng, None);
+    let (component_pfds, system_pfd) = pfds(&versions);
     SystemOutcome {
         versions,
         component_pfds_before,
@@ -387,19 +318,26 @@ mod tests {
         use crate::policy::PolicySpec;
 
         let world = World::singleton_uniform("sys-adaptive", vec![0.5; 6]).unwrap();
-        let spec = pair_spec(&world, Structure::one_out_of_n(2));
-        let s = system_scenario(
-            &world,
-            spec,
-            CampaignRegime::Adaptive(PolicySpec::RoundRobin),
-            8,
-        );
-        for seed in 0..10 {
-            let pair = s.run(seed);
-            let sys = s.system_run(seed).unwrap();
-            assert_eq!(sys.versions, vec![pair.first, pair.second]);
-            assert_eq!(sys.system_pfd, pair.system_pfd);
-            assert_eq!(sys.system_pfd_before, pair.system_pfd_before);
+        for policy in [
+            PolicySpec::RoundRobin,
+            PolicySpec::GreedyOnFailures,
+            PolicySpec::EpsilonGreedy { epsilon: 0.2 },
+            PolicySpec::UcbIndex { c: 0.5 },
+        ] {
+            let spec = pair_spec(&world, Structure::one_out_of_n(2));
+            let s = system_scenario(&world, spec, CampaignRegime::Adaptive(policy), 8);
+            for seed in 0..10 {
+                let pair = s.run(seed);
+                let sys = s.system_run(seed).unwrap();
+                assert_eq!(sys.versions, vec![pair.first, pair.second], "{policy}");
+                assert_eq!(sys.component_pfds, vec![pair.first_pfd, pair.second_pfd]);
+                assert_eq!(
+                    sys.component_pfds_before,
+                    vec![pair.first_pfd_before, pair.second_pfd_before]
+                );
+                assert_eq!(sys.system_pfd, pair.system_pfd);
+                assert_eq!(sys.system_pfd_before, pair.system_pfd_before);
+            }
         }
     }
 

@@ -14,10 +14,13 @@
 //! 3. **fault-removal actions** — [`fixing::Fixer`] (perfect or
 //!    fallible; never introduces faults, per §4.1's assumption).
 //!
-//! [`process`] ties them together into debugging campaigns, including the
-//! closed form for perfect testing ([`process::perfect_debug`]: a fault
-//! survives iff its failure region misses the suite) on which all exact
-//! computation in `diversim-core`/`diversim-exact` rests.
+//! [`process`] ties them together, one test demand at a time:
+//! [`process::debug_step`] is the §4.1 rule (oracle, then fixer) and
+//! [`process::back_to_back_step`] the §4.2 rule, and every simulated
+//! campaign in `diversim-sim` is built on these two steps. It also holds
+//! the closed form for perfect testing ([`process::perfect_debug`]: a
+//! fault survives iff its failure region misses the suite) on which all
+//! exact computation in `diversim-core`/`diversim-exact` rests.
 //!
 //! # Examples
 //!
@@ -60,8 +63,8 @@ pub use fixing::{Fixer, ImperfectFixer, PerfectFixer};
 pub use generation::{ProfileGenerator, SuiteGenerator};
 pub use oracle::{IdenticalFailureModel, ImperfectOracle, Oracle, PerfectOracle};
 pub use process::{
-    back_to_back_debug, debug_version, perfect_debug, BackToBackLog, BackToBackOutcome, DebugLog,
-    DebugOutcome,
+    back_to_back_debug, back_to_back_step, debug_in_place, debug_step, debug_version,
+    perfect_debug, DebugOutcome,
 };
 pub use suite::TestSuite;
 pub use suite_population::{enumerate_iid_suites, ExplicitSuitePopulation};

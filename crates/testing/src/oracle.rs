@@ -6,7 +6,7 @@
 //! wrong) is *detected*. Back-to-back comparison (§4.2) is not an
 //! [`Oracle`] — its verdict depends on both versions' outcomes — and is
 //! modelled separately by [`IdenticalFailureModel`] in
-//! [`crate::process::back_to_back_debug`].
+//! [`crate::process::back_to_back_step`].
 
 use rand::{Rng, RngCore};
 

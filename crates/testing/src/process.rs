@@ -6,12 +6,19 @@
 //! failure regions are disjoint from `t` ("it is sufficient for such a
 //! change that x belong to the test suite … The inclusion of x in the test
 //! suite, however, is not necessary for the score on x to change from 1 to
-//! 0"). [`perfect_debug`] implements that closed form; [`debug_version`]
-//! runs the general sequential process with arbitrary oracles and fixers;
-//! [`back_to_back_debug`] implements §4.2.
+//! 0"). [`perfect_debug`] implements that closed form.
+//!
+//! The general process is written once per test demand: [`debug_step`]
+//! is the §4.1 rule (the oracle judges a failure, the fixer repairs a
+//! detected one) and [`back_to_back_step`] the §4.2 rule (the two
+//! versions' outputs are compared instead). [`debug_in_place`] and
+//! [`debug_version`] run a suite through `debug_step`;
+//! [`back_to_back_debug`] runs a shared suite through
+//! `back_to_back_step`.
 
 use rand::RngCore;
 
+use diversim_universe::demand::DemandId;
 use diversim_universe::fault::FaultModel;
 use diversim_universe::version::Version;
 
@@ -19,26 +26,11 @@ use crate::fixing::Fixer;
 use crate::oracle::{IdenticalFailureModel, Oracle};
 use crate::suite::TestSuite;
 
-/// Counters describing one debugging campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DebugLog {
-    /// Demands executed.
-    pub demands_run: u64,
-    /// Executions on which the version failed.
-    pub failures_observed: u64,
-    /// Failures the oracle detected.
-    pub failures_detected: u64,
-    /// Faults removed by the fixer.
-    pub faults_removed: u64,
-}
-
-/// Result of debugging one version: the tested version and its log.
+/// Result of debugging one version.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DebugOutcome {
     /// The version after testing.
     pub version: Version,
-    /// Campaign counters.
-    pub log: DebugLog,
 }
 
 /// The closed form for perfect oracle + perfect fixing: the tested version
@@ -79,14 +71,49 @@ pub fn perfect_debug(version: &Version, suite: &TestSuite, model: &FaultModel) -
     tested
 }
 
-/// Runs the sequential debugging process: demands are executed in suite
-/// order; each failing execution is judged by `oracle`, and each detected
-/// failure is handed to `fixer`.
+/// One §4.1 test demand: executes `x` on `version`; `oracle` judges a
+/// failure, and `fixer` repairs a detected one. Returns whether a
+/// failure was detected.
+///
+/// The oracle is asked only on a failure and the fixer only on a
+/// detection, so a passing demand draws nothing from `rng`.
+pub fn debug_step(
+    version: &mut Version,
+    x: DemandId,
+    model: &FaultModel,
+    oracle: &dyn Oracle,
+    fixer: &dyn Fixer,
+    rng: &mut dyn RngCore,
+) -> bool {
+    let detected = version.fails_on(model, x) && oracle.detects(rng, x);
+    if detected {
+        fixer.fix(rng, model, version, x);
+    }
+    detected
+}
+
+/// Runs the sequential debugging process on `version` in place: the
+/// demands of `suite` are executed in suite order, each through
+/// [`debug_step`].
 ///
 /// With a perfect oracle and perfect fixer the result equals
 /// [`perfect_debug`] (order is immaterial in that case); with imperfect
 /// components the outcome is random and order-dependent, which is exactly
 /// the §4.1 setting.
+pub fn debug_in_place(
+    version: &mut Version,
+    suite: &TestSuite,
+    model: &FaultModel,
+    oracle: &dyn Oracle,
+    fixer: &dyn Fixer,
+    rng: &mut dyn RngCore,
+) {
+    for &x in suite.demands() {
+        debug_step(version, x, model, oracle, fixer, rng);
+    }
+}
+
+/// [`debug_in_place`] on a copy of `version`.
 pub fn debug_version(
     version: &Version,
     suite: &TestSuite,
@@ -95,104 +122,60 @@ pub fn debug_version(
     fixer: &dyn Fixer,
     rng: &mut dyn RngCore,
 ) -> DebugOutcome {
-    let mut current = version.clone();
-    let mut log = DebugLog::default();
-    for &x in suite.demands() {
-        log.demands_run += 1;
-        if current.fails_on(model, x) {
-            log.failures_observed += 1;
-            if oracle.detects(rng, x) {
-                log.failures_detected += 1;
-                log.faults_removed += fixer.fix(rng, model, &mut current, x) as u64;
-            }
-        }
-    }
-    DebugOutcome {
-        version: current,
-        log,
-    }
+    let mut version = version.clone();
+    debug_in_place(&mut version, suite, model, oracle, fixer, rng);
+    DebugOutcome { version }
 }
 
-/// Counters describing one back-to-back campaign over a version pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackToBackLog {
-    /// Demands executed (once per pair).
-    pub demands_run: u64,
-    /// Demands where exactly one version failed (always detected).
-    pub single_failures: u64,
-    /// Demands where both versions failed.
-    pub coincident_failures: u64,
-    /// Coincident failures that went undetected (identical wrong outputs).
-    pub undetected_coincident: u64,
-    /// Faults removed across both versions.
-    pub faults_removed: u64,
-}
-
-/// Result of a back-to-back campaign: both tested versions and the log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackToBackOutcome {
-    /// First tested version.
-    pub first: Version,
-    /// Second tested version.
-    pub second: Version,
-    /// Campaign counters.
-    pub log: BackToBackLog,
-}
-
-/// Back-to-back testing (§4.2): both versions execute every demand of the
-/// shared suite; failures are detected by output mismatch, so no external
-/// oracle is needed.
+/// One §4.2 back-to-back demand: both versions execute `x`, and a
+/// failure is detected by output mismatch, so no external oracle is
+/// needed.
 ///
 /// * exactly one version fails → mismatch, the failure is detected and the
 ///   failing version is fixed;
 /// * both fail → detected only if the wrong outputs differ, governed by
 ///   `identical`; when detected, *both* versions are fixed.
+pub fn back_to_back_step(
+    first: &mut Version,
+    second: &mut Version,
+    x: DemandId,
+    model: &FaultModel,
+    identical: IdenticalFailureModel,
+    fixer: &dyn Fixer,
+    rng: &mut dyn RngCore,
+) {
+    let first_fails = first.fails_on(model, x);
+    let second_fails = second.fails_on(model, x);
+    if first_fails && second_fails && identical.is_identical(rng) {
+        return;
+    }
+    if first_fails {
+        fixer.fix(rng, model, first, x);
+    }
+    if second_fails {
+        fixer.fix(rng, model, second, x);
+    }
+}
+
+/// Back-to-back testing (§4.2) on the pair in place: both versions
+/// execute every demand of the shared suite, in suite order, through
+/// [`back_to_back_step`].
 ///
 /// With [`IdenticalFailureModel::Never`] the procedure is equivalent to
 /// debugging both versions on the shared suite with a perfect oracle
 /// (the paper's optimistic bound); with [`IdenticalFailureModel::Always`]
 /// coincident failures are never repaired (the pessimistic bound).
 pub fn back_to_back_debug(
-    first: &Version,
-    second: &Version,
+    first: &mut Version,
+    second: &mut Version,
     suite: &TestSuite,
     model: &FaultModel,
     identical: IdenticalFailureModel,
     fixer: &dyn Fixer,
     rng: &mut dyn RngCore,
-) -> BackToBackOutcome {
-    let mut v1 = first.clone();
-    let mut v2 = second.clone();
-    let mut log = BackToBackLog::default();
+) {
     for &x in suite.demands() {
-        log.demands_run += 1;
-        let f1 = v1.fails_on(model, x);
-        let f2 = v2.fails_on(model, x);
-        match (f1, f2) {
-            (false, false) => {}
-            (true, false) => {
-                log.single_failures += 1;
-                log.faults_removed += fixer.fix(rng, model, &mut v1, x) as u64;
-            }
-            (false, true) => {
-                log.single_failures += 1;
-                log.faults_removed += fixer.fix(rng, model, &mut v2, x) as u64;
-            }
-            (true, true) => {
-                log.coincident_failures += 1;
-                if identical.is_identical(rng) {
-                    log.undetected_coincident += 1;
-                } else {
-                    log.faults_removed += fixer.fix(rng, model, &mut v1, x) as u64;
-                    log.faults_removed += fixer.fix(rng, model, &mut v2, x) as u64;
-                }
-            }
-        }
-    }
-    BackToBackOutcome {
-        first: v1,
-        second: v2,
-        log,
+        back_to_back_step(first, second, x, model, identical, fixer, rng);
     }
 }
 
@@ -289,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn debug_log_counts_are_consistent() {
+    fn sequential_debugging_fixes_each_failing_demand() {
         let m = model();
         let v = Version::from_faults(&m, [f(0), f(1)]);
         let t = TestSuite::from_demands(m.space(), vec![d(0), d(1), d(3)]).unwrap();
@@ -302,12 +285,8 @@ mod tests {
             &PerfectFixer::new(),
             &mut rng,
         );
-        assert_eq!(out.log.demands_run, 3);
         // Demand 0 fails (fault 0) → removes fault 0; demand 1 still fails
         // (fault 1) → removes fault 1; demand 3 passes.
-        assert_eq!(out.log.failures_observed, 2);
-        assert_eq!(out.log.failures_detected, 2);
-        assert_eq!(out.log.faults_removed, 2);
         assert!(out.version.is_correct());
     }
 
@@ -326,8 +305,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(out.version, v);
-        assert!(out.log.failures_observed > 0);
-        assert_eq!(out.log.failures_detected, 0);
     }
 
     #[test]
@@ -367,18 +344,18 @@ mod tests {
         let v2 = Version::from_faults(&m, [f(1), f(2)]);
         let t = TestSuite::exhaustive(m.space());
         let mut rng = StdRng::seed_from_u64(4);
-        let out = back_to_back_debug(
-            &v1,
-            &v2,
+        let (mut first, mut second) = (v1.clone(), v2.clone());
+        back_to_back_debug(
+            &mut first,
+            &mut second,
             &t,
             &m,
             IdenticalFailureModel::Never,
             &PerfectFixer::new(),
             &mut rng,
         );
-        assert_eq!(out.first, perfect_debug(&v1, &t, &m));
-        assert_eq!(out.second, perfect_debug(&v2, &t, &m));
-        assert_eq!(out.log.undetected_coincident, 0);
+        assert_eq!(first, perfect_debug(&v1, &t, &m));
+        assert_eq!(second, perfect_debug(&v2, &t, &m));
     }
 
     #[test]
@@ -386,13 +363,13 @@ mod tests {
         let m = model();
         // Both versions share fault 2 (region {3}) — a coincident failure
         // on demand 3 that pessimistic b2b can never see.
-        let v1 = Version::from_faults(&m, [f(0), f(2)]);
-        let v2 = Version::from_faults(&m, [f(2)]);
+        let mut first = Version::from_faults(&m, [f(0), f(2)]);
+        let mut second = Version::from_faults(&m, [f(2)]);
         let t = TestSuite::exhaustive(m.space());
         let mut rng = StdRng::seed_from_u64(5);
-        let out = back_to_back_debug(
-            &v1,
-            &v2,
+        back_to_back_debug(
+            &mut first,
+            &mut second,
             &t,
             &m,
             IdenticalFailureModel::Always,
@@ -400,11 +377,10 @@ mod tests {
             &mut rng,
         );
         // The shared fault survives in both versions.
-        assert!(out.first.has_fault(f(2)));
-        assert!(out.second.has_fault(f(2)));
+        assert!(first.has_fault(f(2)));
+        assert!(second.has_fault(f(2)));
         // The non-shared fault of v1 is caught via mismatch.
-        assert!(!out.first.has_fault(f(0)));
-        assert!(out.log.undetected_coincident > 0);
+        assert!(!first.has_fault(f(0)));
     }
 
     #[test]
@@ -416,13 +392,13 @@ mod tests {
             .singleton_faults()
             .build()
             .unwrap();
-        let v1 = Version::from_faults(&m, [f(0), f(1)]);
-        let v2 = Version::from_faults(&m, [f(1), f(2)]);
+        let mut first = Version::from_faults(&m, [f(0), f(1)]);
+        let mut second = Version::from_faults(&m, [f(1), f(2)]);
         let t = TestSuite::exhaustive(m.space());
         let mut rng = StdRng::seed_from_u64(6);
-        let out = back_to_back_debug(
-            &v1,
-            &v2,
+        back_to_back_debug(
+            &mut first,
+            &mut second,
             &t,
             &m,
             IdenticalFailureModel::Always,
@@ -430,23 +406,23 @@ mod tests {
             &mut rng,
         );
         // Coincident failure on demand 1 remains in both versions.
-        assert!(out.first.fails_on(&m, d(1)));
-        assert!(out.second.fails_on(&m, d(1)));
+        assert!(first.fails_on(&m, d(1)));
+        assert!(second.fails_on(&m, d(1)));
         // All single failures were repaired.
-        assert!(!out.first.fails_on(&m, d(0)));
-        assert!(!out.second.fails_on(&m, d(2)));
+        assert!(!first.fails_on(&m, d(0)));
+        assert!(!second.fails_on(&m, d(2)));
     }
 
     #[test]
-    fn back_to_back_log_counts() {
+    fn back_to_back_fixes_single_failures_in_order() {
         let m = model();
-        let v1 = Version::from_faults(&m, [f(0)]); // fails on 0, 1
-        let v2 = Version::from_faults(&m, [f(1)]); // fails on 1, 2
+        let mut first = Version::from_faults(&m, [f(0)]); // fails on 0, 1
+        let mut second = Version::from_faults(&m, [f(1)]); // fails on 1, 2
         let t = TestSuite::exhaustive(m.space()); // demands 0..4 in order
         let mut rng = StdRng::seed_from_u64(7);
-        let out = back_to_back_debug(
-            &v1,
-            &v2,
+        back_to_back_debug(
+            &mut first,
+            &mut second,
             &t,
             &m,
             IdenticalFailureModel::Never,
@@ -456,9 +432,6 @@ mod tests {
         // Demand 0: only v1 fails → single failure, fault 0 fixed.
         // Demand 1: v1 already fixed, v2 fails → single failure, fault 1
         // fixed. Demand 2, 3: no failures.
-        assert_eq!(out.log.single_failures, 2);
-        assert_eq!(out.log.coincident_failures, 0);
-        assert_eq!(out.log.faults_removed, 2);
-        assert!(out.first.is_correct() && out.second.is_correct());
+        assert!(first.is_correct() && second.is_correct());
     }
 }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use diversim::core::metrics::DiversityReport;
 use diversim::prelude::*;
 use diversim::stats::stopping::{StoppingRule, StoppingState};
+use diversim::testing::process::debug_step;
 use diversim::universe::generator::{ProfileKind, PropensityKind, RegionSize, UniverseSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,10 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         demands_run += 1;
         let mut any_failure = false;
         for v in [&mut a, &mut b] {
-            if v.fails_on(&model, x) && oracle.detects(&mut rng, x) {
-                any_failure = true;
-                fixer.fix(&mut rng, &model, v, x);
-            }
+            any_failure |= debug_step(v, x, &model, &oracle, &fixer, &mut rng);
         }
         state.record(any_failure);
     }
