@@ -71,7 +71,7 @@ fn bench_campaigns(c: &mut Criterion) {
             )),
         ),
     ] {
-        let scenario = base.with_regime(regime);
+        let scenario = base.with_regime(regime).unwrap();
         group.bench_function(name, |b| {
             let mut seed = 0u64;
             b.iter(|| {

@@ -85,6 +85,7 @@ fn run(ctx: &mut RunContext) {
                 let mc_ind = scenario
                     .with_suite_size(n)
                     .with_regime(CampaignRegime::IndependentSuites)
+                    .expect("a suite regime is valid")
                     .with_seed(600 + n as u64)
                     .estimate(replications, scope.threads());
                 let mc_sh = scenario

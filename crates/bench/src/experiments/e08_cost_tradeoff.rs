@@ -73,6 +73,7 @@ fn run(ctx: &mut RunContext) {
                 let ind = scenario
                     .with_suite_size(n)
                     .with_regime(CampaignRegime::IndependentSuites)
+                    .expect("a suite regime is valid")
                     .with_seed(800 + n as u64)
                     .estimate(replications, scope.threads());
                 let shared = scenario

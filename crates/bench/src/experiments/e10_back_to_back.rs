@@ -101,6 +101,7 @@ fn run(ctx: &mut RunContext) {
             |scope| {
                 let est = scenario
                     .with_regime(CampaignRegime::BackToBack(identical))
+                    .expect("gamma in [0, 1]")
                     .with_seed(1300 + step as u64)
                     .estimate(replications, scope.threads());
                 vec![

@@ -72,7 +72,9 @@ fn run(ctx: &mut RunContext) {
             ),
             |scope| {
                 let s = if regime == "independent" {
-                    scenario.with_regime(CampaignRegime::IndependentSuites)
+                    scenario
+                        .with_regime(CampaignRegime::IndependentSuites)
+                        .expect("a suite regime is valid")
                 } else {
                     scenario.clone()
                 };

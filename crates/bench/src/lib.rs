@@ -26,6 +26,7 @@
 //!   serve` service (stdin/stdout + TCP);
 //! * [`worlds`] — the standard universes the experiments run on.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

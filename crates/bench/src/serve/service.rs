@@ -129,7 +129,7 @@ impl EvaluationService {
         let root = derive_root_seed(seed, stream);
         let scenario = cached
             .scenario
-            .with_regime(request.regime.to_regime())
+            .with_regime(request.regime.to_regime())?
             .with_suite_size(request.suite_size)
             .with_seeds(SeedPolicy::Sequence(root));
         let world = cached.label.clone();

@@ -203,15 +203,6 @@ impl StructureEnsemble {
         self.components.len()
     }
 
-    /// Total number of joint combinations the independent enumeration
-    /// visits (the product of the component ensemble sizes).
-    pub fn joint_combinations(&self) -> usize {
-        self.components
-            .iter()
-            .map(TestedEnsemble::len)
-            .product::<usize>()
-    }
-
     /// `P(system fails on x)` for every demand when every component is
     /// debugged on its **own** independently drawn suite: the full
     /// cross-product over all components' `(version, suite)` combinations,
@@ -753,7 +744,6 @@ mod tests {
         .unwrap();
         let structured = tree.joint_vector_independent();
         assert_eq!(tree.component_count(), 2);
-        assert_eq!(tree.joint_combinations(), ens.len() * ens.len());
         for (a, b) in flat.iter().zip(&structured) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -44,14 +44,6 @@ pub struct TheoremReport {
 }
 
 impl TheoremReport {
-    /// Largest discrepancy across all checks.
-    pub fn max_error(&self) -> f64 {
-        self.checks
-            .iter()
-            .map(IdentityCheck::abs_error)
-            .fold(0.0, f64::max)
-    }
-
     /// Whether every identity holds within `tol`.
     pub fn all_hold(&self, tol: f64) -> bool {
         self.checks.iter().all(|c| c.holds(tol))
@@ -474,7 +466,7 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("eq14"));
         assert!(text.contains("eq23/25-marginal"));
-        assert!(report.max_error() < 1e-12);
+        assert!(report.all_hold(1e-12));
     }
 
     #[test]

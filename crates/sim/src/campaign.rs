@@ -206,7 +206,9 @@ mod tests {
         // With IdenticalFailureModel::Never and a perfect fixer, b2b on the
         // shared suite produces exactly the perfect-oracle shared outcome.
         let shared = scenario(vec![0.4, 0.6, 0.8], 5, CampaignRegime::SharedSuite);
-        let b2b = shared.with_regime(CampaignRegime::BackToBack(IdenticalFailureModel::Never));
+        let b2b = shared
+            .with_regime(CampaignRegime::BackToBack(IdenticalFailureModel::Never))
+            .unwrap();
         for seed in 0..30 {
             let b = b2b.run(seed);
             let s = shared.run(seed);
@@ -240,7 +242,7 @@ mod tests {
         // Statistical sanity: across many seeds the regimes should not
         // produce identical system pfds every time.
         let sh = scenario(vec![0.5; 3], 2, CampaignRegime::SharedSuite);
-        let ind = sh.with_regime(CampaignRegime::IndependentSuites);
+        let ind = sh.with_regime(CampaignRegime::IndependentSuites).unwrap();
         let differs =
             (0..40).any(|seed| (ind.run(seed).system_pfd - sh.run(seed).system_pfd).abs() > 1e-15);
         assert!(differs, "regimes never differed — suspicious");

@@ -36,10 +36,10 @@
 //! * [`runner`] — the lock-free deterministic parallel substrate, one
 //!   fold ([`runner::parallel_reduce`]): workers claim blocks of
 //!   replications from an atomic counter, fold each through a composable
-//!   [`diversim_stats::reduce::Reducer`] into its own pre-allocated
-//!   slot, and merge the slots in block order; results are bit-identical
-//!   for any thread count and job panics re-raise with their
-//!   replication index.
+//!   [`diversim_stats::reduce::Reducer`], and return their block folds
+//!   when joined; the folds merge in block order, so results are
+//!   bit-identical for any thread count, and job panics re-raise with
+//!   their replication index.
 //!
 //! Every study debugs through one path: each test demand is one
 //! [`diversim_testing::process::debug_step`] (§4.1) or
@@ -66,6 +66,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 // The Scenario API exists so that no simulation entry point needs an
@@ -91,9 +92,7 @@ pub use common_cause::{ClarificationStudy, MistakeMode, MistakeStudy};
 pub use estimate::{Estimate, PairEstimates};
 pub use growth::{GrowthCurve, GrowthSample, MergedComparison, MergedEstimates};
 pub use operation::{CoverageStudy, OperationLog};
-pub use policy::{
-    Allocation, AllocationProfile, PolicySignals, PolicySpec, PolicyStep, PolicyStudy, PolicyTrace,
-};
+pub use policy::{Allocation, AllocationProfile, PolicySpec, PolicyStep, PolicyStudy, PolicyTrace};
 pub use runner::{default_threads, parallel_reduce};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, SeedPolicy};
 pub use world::World;

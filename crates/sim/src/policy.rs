@@ -5,8 +5,11 @@
 //! stochastic process (in the spirit of robust dynamic selection of
 //! tested modules). A [`PolicySpec`] decides, demand by demand, which
 //! version(s) of the pair receive the next test under a shared execution
-//! budget, observing only public signals ([`PolicySignals`]): tests
-//! spent, failures observed, and the per-version stopping-rule state.
+//! budget, observing only the campaign's [`AllocationProfile`] so far:
+//! decisions made, executions spent, and each version's tests and
+//! detected failures. A policy is therefore a function of the plain
+//! state `(t_A, f_A, t_B, f_B)` plus the step (and, for ε-greedy, one
+//! coin), so a decision can be replayed from any recorded profile.
 //!
 //! Campaigns run under [`crate::campaign::CampaignRegime::Adaptive`]:
 //! the scenario's `suite_size` is reinterpreted as the *total execution
@@ -40,7 +43,6 @@ use rand::{Rng, RngCore};
 
 use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::Moments;
-use diversim_stats::stopping::{StoppingRule, StoppingState};
 use diversim_testing::process::debug_step;
 use diversim_universe::version::Version;
 
@@ -49,9 +51,9 @@ use crate::scenario::{Scenario, ScenarioError};
 /// An allocation policy: a declarative, serialisable value — carried by
 /// [`CampaignRegime::Adaptive`](crate::campaign::CampaignRegime::Adaptive),
 /// hashed into sweep cell keys and sent over the serve wire — that
-/// [decides](PolicySpec::decide) each allocation from the public
-/// [`PolicySignals`] alone, which keeps traces replayable from the
-/// signals.
+/// [decides](PolicySpec::decide) each allocation from the campaign's
+/// [`AllocationProfile`] alone, which keeps traces replayable from the
+/// profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Alternate versions by step parity: A, B, A, B, … — a pure
@@ -106,34 +108,35 @@ impl PolicySpec {
         }
     }
 
-    /// Chooses the next allocation. Called once per decision while
-    /// budget remains; `rng` is the campaign rng, drawn from *before* the
-    /// demand draw (see the module docs' determinism contract) and only
-    /// by [`PolicySpec::EpsilonGreedy`], once per decision.
-    pub fn decide(&self, signals: &PolicySignals, rng: &mut dyn RngCore) -> Allocation {
+    /// Chooses the next allocation from what the campaign has `seen` so
+    /// far. Called once per decision while budget remains; `rng` is the
+    /// campaign rng, drawn from *before* the demand draw (see the module
+    /// docs' determinism contract) and only by
+    /// [`PolicySpec::EpsilonGreedy`], once per decision.
+    pub fn decide(&self, seen: &AllocationProfile, rng: &mut dyn RngCore) -> Allocation {
         match *self {
-            PolicySpec::RoundRobin => parity_pick(signals.step()),
-            PolicySpec::GreedyOnFailures => greedy_pick(signals).unwrap_or(Allocation::Both),
+            PolicySpec::RoundRobin => parity_pick(seen.decisions()),
+            PolicySpec::GreedyOnFailures => greedy_pick(seen).unwrap_or(Allocation::Both),
             PolicySpec::EpsilonGreedy { epsilon } => {
                 if rng.gen::<f64>() < epsilon {
                     return Allocation::Both;
                 }
-                greedy_pick(signals).unwrap_or_else(|| parity_pick(signals.step()))
+                greedy_pick(seen).unwrap_or_else(|| parity_pick(seen.decisions()))
             }
             PolicySpec::UcbIndex { c } => {
-                let log_spent = ((signals.spent() + 1) as f64).ln();
+                let log_spent = ((seen.executions() + 1) as f64).ln();
                 let index = |tests: u64, failures: u64| {
                     let rate = failures as f64 / tests.max(1) as f64;
                     rate + c * (log_spent / (tests + 1) as f64).sqrt()
                 };
-                let a = index(signals.tests_a(), signals.failures_a());
-                let b = index(signals.tests_b(), signals.failures_b());
+                let a = index(seen.tests_a(), seen.failures_a);
+                let b = index(seen.tests_b(), seen.failures_b);
                 if a > b {
                     Allocation::VersionA
                 } else if b > a {
                     Allocation::VersionB
                 } else {
-                    parity_pick(signals.step())
+                    parity_pick(seen.decisions())
                 }
             }
         }
@@ -162,108 +165,10 @@ pub enum Allocation {
     Both,
 }
 
-/// The public observation a policy decides on: executions spent,
-/// failures observed, and the per-version [`StoppingState`] (rule
-/// [`StoppingRule::FixedSize`] at the campaign budget) — nothing about
-/// the versions' internals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicySignals {
-    budget: u64,
-    spent: u64,
-    step: u64,
-    state_a: StoppingState,
-    state_b: StoppingState,
-}
-
-impl PolicySignals {
-    /// Fresh signals for a campaign with the given execution budget.
-    pub fn new(budget: u64) -> Self {
-        PolicySignals {
-            budget,
-            spent: 0,
-            step: 0,
-            state_a: StoppingState::new(StoppingRule::FixedSize(budget)),
-            state_b: StoppingState::new(StoppingRule::FixedSize(budget)),
-        }
-    }
-
-    /// Total execution budget of the campaign.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Executions spent so far.
-    pub fn spent(&self) -> u64 {
-        self.spent
-    }
-
-    /// Executions remaining in the budget.
-    pub fn remaining(&self) -> u64 {
-        self.budget - self.spent
-    }
-
-    /// Decisions made so far (a [`Allocation::Both`] is one decision).
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
-    /// Tests executed on version A.
-    pub fn tests_a(&self) -> u64 {
-        self.state_a.demands()
-    }
-
-    /// Tests executed on version B.
-    pub fn tests_b(&self) -> u64 {
-        self.state_b.demands()
-    }
-
-    /// Detected failures observed on version A.
-    pub fn failures_a(&self) -> u64 {
-        self.state_a.failures()
-    }
-
-    /// Detected failures observed on version B.
-    pub fn failures_b(&self) -> u64 {
-        self.state_b.failures()
-    }
-
-    /// Version A's stopping-rule state.
-    pub fn state_a(&self) -> &StoppingState {
-        &self.state_a
-    }
-
-    /// Version B's stopping-rule state.
-    pub fn state_b(&self) -> &StoppingState {
-        &self.state_b
-    }
-
-    /// Records one private execution of version A.
-    pub fn record_a(&mut self, detected: bool) {
-        self.state_a.record(detected);
-        self.spent += 1;
-        self.step += 1;
-    }
-
-    /// Records one private execution of version B.
-    pub fn record_b(&mut self, detected: bool) {
-        self.state_b.record(detected);
-        self.spent += 1;
-        self.step += 1;
-    }
-
-    /// Records one shared demand executed on both versions.
-    pub fn record_both(&mut self, detected_a: bool, detected_b: bool) {
-        self.state_a.record(detected_a);
-        self.state_b.record(detected_b);
-        self.spent += 2;
-        self.step += 1;
-    }
-}
-
 /// The version with strictly more observed (detected) failures, or
 /// `None` on a tie.
-fn greedy_pick(signals: &PolicySignals) -> Option<Allocation> {
-    match signals.failures_a().cmp(&signals.failures_b()) {
+fn greedy_pick(seen: &AllocationProfile) -> Option<Allocation> {
+    match seen.failures_a.cmp(&seen.failures_b) {
         std::cmp::Ordering::Greater => Some(Allocation::VersionA),
         std::cmp::Ordering::Less => Some(Allocation::VersionB),
         std::cmp::Ordering::Equal => None,
@@ -293,7 +198,9 @@ pub struct PolicyStep {
     pub detected_b: bool,
 }
 
-/// The realised allocation profile of one adaptive campaign.
+/// The allocation record of one adaptive campaign: what
+/// [`PolicySpec::decide`] reads before each decision, and the realised
+/// profile once the budget is spent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocationProfile {
     /// Private executions of version A.
@@ -309,6 +216,33 @@ pub struct AllocationProfile {
 }
 
 impl AllocationProfile {
+    /// Decisions made: `only_a + only_b + shared` (a shared demand is one
+    /// decision).
+    pub fn decisions(&self) -> u64 {
+        self.only_a + self.only_b + self.shared
+    }
+
+    /// Tests executed on version A: `only_a + shared`.
+    pub fn tests_a(&self) -> u64 {
+        self.only_a + self.shared
+    }
+
+    /// Tests executed on version B: `only_b + shared`.
+    pub fn tests_b(&self) -> u64 {
+        self.only_b + self.shared
+    }
+
+    /// Folds one decision into the record.
+    fn record(&mut self, step: PolicyStep) {
+        match step.allocation {
+            Allocation::VersionA => self.only_a += 1,
+            Allocation::VersionB => self.only_b += 1,
+            Allocation::Both => self.shared += 1,
+        }
+        self.failures_a += u64::from(step.detected_a);
+        self.failures_b += u64::from(step.detected_b);
+    }
+
     /// Executions consumed: `only_a + only_b + 2·shared`. Budget
     /// conservation demands this equals the campaign budget exactly.
     pub fn executions(&self) -> u64 {
@@ -357,50 +291,32 @@ pub(crate) fn allocate(
     let debug = |version: &mut Version, x, rng: &mut StdRng| {
         debug_step(version, x, model, scenario.oracle(), scenario.fixer(), rng)
     };
-    let mut signals = PolicySignals::new(scenario.suite_size() as u64);
+    let budget = scenario.suite_size() as u64;
     let mut profile = AllocationProfile::default();
-
-    while signals.remaining() > 0 {
-        let mut allocation = spec.decide(&signals, rng);
-        if allocation == Allocation::Both && signals.remaining() < 2 {
+    while profile.executions() < budget {
+        let mut allocation = spec.decide(&profile, rng);
+        if allocation == Allocation::Both && budget - profile.executions() < 2 {
             // Budget coercion: a shared demand no longer fits; fall back
             // to the parity pick so conservation holds exactly.
-            allocation = parity_pick(signals.step());
+            allocation = parity_pick(profile.decisions());
         }
         let x = operational.sample(rng);
         let (detected_a, detected_b) = match allocation {
-            Allocation::VersionA => {
-                let detected = debug(first, x, rng);
-                signals.record_a(detected);
-                profile.only_a += 1;
-                (detected, false)
-            }
-            Allocation::VersionB => {
-                let detected = debug(second, x, rng);
-                signals.record_b(detected);
-                profile.only_b += 1;
-                (false, detected)
-            }
+            Allocation::VersionA => (debug(first, x, rng), false),
+            Allocation::VersionB => (false, debug(second, x, rng)),
             Allocation::Both => {
                 let detected_a = debug(first, x, rng);
-                let detected_b = debug(second, x, rng);
-                signals.record_both(detected_a, detected_b);
-                profile.shared += 1;
-                (detected_a, detected_b)
+                (detected_a, debug(second, x, rng))
             }
         };
-        if detected_a {
-            profile.failures_a += 1;
-        }
-        if detected_b {
-            profile.failures_b += 1;
-        }
+        let step = PolicyStep {
+            allocation,
+            detected_a,
+            detected_b,
+        };
+        profile.record(step);
         if let Some(steps) = steps.as_deref_mut() {
-            steps.push(PolicyStep {
-                allocation,
-                detected_a,
-                detected_b,
-            });
+            steps.push(step);
         }
     }
     profile
@@ -447,6 +363,7 @@ mod tests {
     use super::*;
     use crate::campaign::{allocation_profile, CampaignRegime};
     use crate::world::World;
+    use rand::SeedableRng;
 
     fn scenario(props: Vec<f64>, budget: usize, spec: PolicySpec) -> Scenario {
         World::singleton_uniform("policy-test", props)
@@ -509,6 +426,38 @@ mod tests {
                     assert_eq!(detected_a as u64, profile.failures_a);
                     assert_eq!(detected_b as u64, profile.failures_b);
                     assert_eq!(profile.executions(), budget as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decide_on_the_folded_profile_replays_every_step() {
+        // Round-robin, greedy and UCB draw no rng, so step i of a trace is
+        // `decide` on the profile of steps 0..i, after the budget coercion.
+        let mut unused = StdRng::seed_from_u64(0);
+        for spec in [
+            PolicySpec::RoundRobin,
+            PolicySpec::GreedyOnFailures,
+            PolicySpec::UcbIndex { c: 0.5 },
+        ] {
+            for budget in [0u64, 1, 2, 7, 16, 33] {
+                let s = scenario(vec![0.4, 0.6, 0.3, 0.5, 0.2], budget as usize, spec);
+                for seed in 0..5 {
+                    let trace = s.policy_trace(seed).unwrap();
+                    let mut seen = AllocationProfile::default();
+                    for (i, step) in trace.steps.iter().enumerate() {
+                        let mut expected = spec.decide(&seen, &mut unused);
+                        if expected == Allocation::Both && budget - seen.executions() < 2 {
+                            expected = parity_pick(seen.decisions());
+                        }
+                        assert_eq!(
+                            step.allocation, expected,
+                            "{spec} at budget {budget}, seed {seed}, step {i}"
+                        );
+                        seen.record(*step);
+                    }
+                    assert_eq!(seen, trace.profile);
                 }
             }
         }

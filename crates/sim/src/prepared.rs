@@ -127,11 +127,6 @@ impl Prepared {
         self.strategy
     }
 
-    /// Whether the fault-by-fault fast path is active.
-    pub fn disjoint_regions(&self) -> bool {
-        self.strategy == EvalStrategy::Disjoint
-    }
-
     /// The version's failure demands as one sorted, deduplicated index
     /// list (the sparse-union analogue of
     /// [`Version::failure_set`]).
@@ -265,7 +260,7 @@ mod tests {
         );
         let q = UsageProfile::from_weights(space, vec![0.1, 0.2, 0.3, 0.4]).unwrap();
         let p = Prepared::new(Arc::clone(&model), q.clone());
-        assert!(p.disjoint_regions());
+        assert_eq!(p.strategy(), EvalStrategy::Disjoint);
         let a = Version::from_faults(&model, [f(0), f(2)]);
         let b = Version::from_faults(&model, [f(2), f(3)]);
         assert_eq!(p.version_pfd(&a), a.pfd(&model, &q));
@@ -280,7 +275,8 @@ mod tests {
             .fault([d(0)])
             .build()
             .unwrap();
-        assert!(!Prepared::new(Arc::new(descending), q).disjoint_regions());
+        let p = Prepared::new(Arc::new(descending), q);
+        assert_ne!(p.strategy(), EvalStrategy::Disjoint);
     }
 
     #[test]
@@ -297,7 +293,7 @@ mod tests {
         );
         let q = UsageProfile::uniform(space);
         let p = Prepared::new(Arc::clone(&model), q.clone());
-        assert!(!p.disjoint_regions());
+        assert_ne!(p.strategy(), EvalStrategy::Disjoint);
         let both = Version::from_faults(&model, [f(0), f(1)]);
         assert!((p.version_pfd(&both) - 1.0).abs() < 1e-15);
         assert_eq!(p.version_pfd(&both), both.pfd(&model, &q));
@@ -354,7 +350,6 @@ mod tests {
         let q = UsageProfile::zipf(space, 0.4).unwrap();
         let p = Prepared::new(Arc::clone(&model), q.clone());
         assert_eq!(p.strategy(), EvalStrategy::SparseUnion);
-        assert!(!p.disjoint_regions());
         let a = Version::from_faults(&model, [f(0)]);
         let b = Version::from_faults(&model, [f(1)]);
         let both = Version::from_faults(&model, [f(0), f(1)]);

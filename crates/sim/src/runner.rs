@@ -16,16 +16,19 @@
 //!   (1024) consecutive replications from one shared atomic counter
 //!   (`fetch_add`), the only point of inter-thread communication on the
 //!   hot path.
-//! * **Disjoint slot writes** — each block's accumulator lands in its
-//!   own pre-allocated slot. Every slot is written by exactly one worker
-//!   exactly once: plain unsynchronised stores through an `UnsafeCell`,
-//!   no mutex, no per-item locking.
-//! * **Panic semantics** — each job runs under `catch_unwind`. The
-//!   first panic (lowest replication index among those observed) aborts
-//!   further block claiming and is re-raised after all workers drain,
-//!   carrying its replication index *and* the original message for
-//!   `&str`/`String` payloads (other payload types are re-raised
-//!   verbatim). Sibling workers never raise secondary panics.
+//! * **Workers return their folds** — each worker folds the blocks it
+//!   claimed into its own `(block, accumulator)` list and hands the list
+//!   back when it is joined; no state is shared but the counter and an
+//!   abort flag. One worker runs inline on the calling thread; more run
+//!   as scoped threads, and the caller only joins them.
+//! * **Panic semantics** — each job runs under `catch_unwind`. A job
+//!   panic sets the abort flag, which stops further block claiming, and
+//!   its worker returns the panic instead of its folds (dropping them).
+//!   Once every worker has drained, the panic with the lowest
+//!   replication index among those observed is re-raised, carrying its
+//!   index *and* the original message for `&str`/`String` payloads
+//!   (other payload types are re-raised verbatim). Sibling workers never
+//!   raise secondary panics, and every finished fold is dropped.
 //!
 //! # Determinism contract
 //!
@@ -36,8 +39,6 @@
 //! changes low-order bits of every streamed estimate.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -52,52 +53,6 @@ use diversim_stats::seed::SeedSequence;
 /// count — but a function of this constant. Do not change it casually:
 /// every recorded experiment result encodes it in its low-order bits.
 const ACCUMULATE_BLOCK: u64 = 1024;
-
-/// Pre-allocated write-once result slots shared across workers.
-///
-/// Safety protocol: slot `i` is written at most once, by the worker
-/// that claimed block `i`, and only read (`into_vec`) after all workers
-/// have joined with no panic — i.e. after every slot has been written.
-/// On the panic path the slots are dropped as raw `MaybeUninit`
-/// storage, which leaks any already-written values; this is deliberate
-/// (we cannot know which slots were written) and confined to a path
-/// that unwinds with the original job panic.
-struct Slots<T> {
-    cells: Vec<UnsafeCell<MaybeUninit<T>>>,
-}
-
-// SAFETY: workers only perform disjoint writes (see the protocol on the
-// type); sharing &Slots across threads is sound for T: Send because the
-// values themselves move between threads exactly once.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    fn new(n: usize) -> Self {
-        Slots {
-            cells: (0..n)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be claimed by exactly one worker, which calls this at
-    /// most once for it.
-    unsafe fn write(&self, i: usize, value: T) {
-        (*self.cells[i].get()).write(value);
-    }
-
-    /// # Safety
-    ///
-    /// Every slot must have been written (all blocks completed).
-    unsafe fn into_vec(self) -> Vec<T> {
-        self.cells
-            .into_iter()
-            .map(|cell| cell.into_inner().assume_init())
-            .collect()
-    }
-}
 
 /// A captured job panic: the replication index it occurred at plus the
 /// original payload.
@@ -127,63 +82,12 @@ fn raise(p: JobPanic) -> ! {
     resume_unwind(payload)
 }
 
-/// The worker loop: `threads` scoped workers claim block indices
-/// `0..n_blocks` from an atomic counter and run `work` on each. If any
-/// `work` reports a [`JobPanic`], further claiming stops and the panic
-/// with the lowest replication index among those observed is re-raised
-/// after every worker has drained — exactly one panic, never a
-/// secondary one.
-fn drive_workers<F>(n_blocks: u64, threads: usize, work: F)
-where
-    F: Fn(u64) -> Result<(), JobPanic> + Sync,
-{
-    let counter = AtomicU64::new(0);
-    let abort = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| -> Option<JobPanic> {
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            return None;
-                        }
-                        let block = counter.fetch_add(1, Ordering::Relaxed);
-                        if block >= n_blocks {
-                            return None;
-                        }
-                        if let Err(panic) = work(block) {
-                            abort.store(true, Ordering::Relaxed);
-                            return Some(panic);
-                        }
-                    }
-                })
-            })
-            .collect();
-        let mut first: Option<JobPanic> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Some(panic)) => {
-                    if first.as_ref().is_none_or(|f| panic.index < f.index) {
-                        first = Some(panic);
-                    }
-                }
-                Ok(None) => {}
-                // A panic outside a job (runner bug): propagate as-is.
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        if let Some(panic) = first {
-            raise(panic);
-        }
-    });
-}
-
 /// Runs `replications` jobs and folds their observables through a
 /// [`Reducer`] without materialising per-replication results.
 ///
 /// Replications are processed in fixed-size blocks of
 /// `ACCUMULATE_BLOCK` (1024); each block is folded in index order
-/// ([`Reducer::push`]) into its own pre-allocated slot and the block
+/// ([`Reducer::push`]) by the worker that claimed it, and the block
 /// accumulators are merged in block order ([`Reducer::merge`]), so the
 /// result is a pure function of `(replications, seeds, reducer, job)` —
 /// bit-identical for any `threads`, including 1 — while memory stays
@@ -232,36 +136,62 @@ where
         return reducer.empty();
     }
     let n_blocks = replications.div_ceil(ACCUMULATE_BLOCK);
-    let fold_block = |block: u64| -> Result<R::Acc, JobPanic> {
-        let mut acc = reducer.empty();
-        let lo = block * ACCUMULATE_BLOCK;
-        let hi = (lo + ACCUMULATE_BLOCK).min(replications);
-        for i in lo..hi {
-            let item = run_job(i, || job(i, seeds.seed_for(0, i)))?;
-            reducer.push(&mut acc, item);
+    let counter = AtomicU64::new(0);
+    let abort = AtomicBool::new(false);
+    // One worker: claim blocks until none is left or a job has panicked,
+    // and return the folds of the blocks claimed, or the first panic.
+    let work = || -> Result<Vec<(u64, R::Acc)>, JobPanic> {
+        let mut folds = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let block = counter.fetch_add(1, Ordering::Relaxed);
+            if block >= n_blocks {
+                break;
+            }
+            let mut acc = reducer.empty();
+            let lo = block * ACCUMULATE_BLOCK;
+            for i in lo..(lo + ACCUMULATE_BLOCK).min(replications) {
+                match run_job(i, || job(i, seeds.seed_for(0, i))) {
+                    Ok(item) => reducer.push(&mut acc, item),
+                    Err(panic) => {
+                        abort.store(true, Ordering::Relaxed);
+                        return Err(panic);
+                    }
+                }
+            }
+            folds.push((block, acc));
         }
-        Ok(acc)
+        Ok(folds)
     };
     let workers = threads.min(usize::try_from(n_blocks).unwrap_or(usize::MAX));
-    let blocks: Vec<R::Acc> = if workers == 1 {
-        (0..n_blocks)
-            .map(|block| fold_block(block).unwrap_or_else(|p| raise(p)))
-            .collect()
+    let results = if workers == 1 {
+        vec![work()]
     } else {
-        let slots: Slots<R::Acc> = Slots::new(n_blocks as usize);
-        drive_workers(n_blocks, workers, |block| {
-            let acc = fold_block(block)?;
-            // SAFETY: one slot per block, each block claimed once.
-            unsafe { slots.write(block as usize, acc) };
-            Ok(())
-        });
-        // SAFETY: drive_workers returned normally ⇒ all blocks written.
-        unsafe { slots.into_vec() }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                // A panic outside a job (runner bug): propagate as-is.
+                .map(|handle| handle.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect::<Vec<_>>()
+        })
     };
+    let mut blocks = Vec::new();
+    let mut panics = Vec::new();
+    for result in results {
+        match result {
+            Ok(folds) => blocks.extend(folds),
+            Err(panic) => panics.push(panic),
+        }
+    }
+    if let Some(panic) = panics.into_iter().min_by_key(|p| p.index) {
+        raise(panic);
+    }
     // Merge in block order: the fold sequence is fixed, so rounding is
     // too.
+    blocks.sort_unstable_by_key(|&(block, _)| block);
     blocks
         .into_iter()
+        .map(|(_, acc)| acc)
         .reduce(|left, right| reducer.merge(left, right))
         .expect("at least one block")
 }

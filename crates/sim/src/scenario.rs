@@ -8,8 +8,11 @@
 //! [`ScenarioBuilder`]:
 //!
 //! * construction-time cross-validation (shared demand space, matching
-//!   fault models, sane suite sizes) returns a typed [`ScenarioError`]
-//!   instead of panicking mid-campaign;
+//!   fault models, sane suite sizes, a regime whose parameters are in
+//!   range and that the system can run under) returns a typed
+//!   [`ScenarioError`] instead of panicking mid-campaign;
+//!   [`Scenario::with_regime`] and [`Scenario::with_structure`] re-run
+//!   the regime check, so every [`Scenario`] is valid;
 //! * the scenario owns a per-world [`Prepared`] cache (demand marginals,
 //!   fault-region usage masses, disjoint-region fast path) built once and
 //!   reused by every replication on every thread;
@@ -51,6 +54,7 @@ use std::sync::Arc;
 use diversim_core::structure::Structure;
 use diversim_stats::seed::SeedSequence;
 use diversim_stats::stopping::StoppingRule;
+use diversim_testing::error::TestingError;
 use diversim_testing::fixing::{Fixer, PerfectFixer};
 use diversim_testing::generation::{ProfileGenerator, SuiteGenerator};
 use diversim_testing::oracle::{Oracle, PerfectOracle};
@@ -203,6 +207,12 @@ pub enum ScenarioError {
         /// The offending value.
         value: f64,
     },
+    /// A back-to-back regime's identical-failure probability γ is
+    /// outside `[0, 1]`.
+    InvalidGamma {
+        /// The offending γ.
+        value: f64,
+    },
     /// A policy study was requested on a scenario whose regime is not
     /// [`CampaignRegime::Adaptive`].
     NotAdaptive,
@@ -259,6 +269,9 @@ impl std::fmt::Display for ScenarioError {
                     f,
                     "adaptive policy parameter {what} = {value} is out of range"
                 )
+            }
+            ScenarioError::InvalidGamma { value } => {
+                write!(f, "back-to-back gamma = {value} is outside [0, 1]")
             }
             ScenarioError::NotAdaptive => {
                 write!(f, "policy studies require an adaptive regime")
@@ -462,7 +475,11 @@ impl ScenarioBuilder {
     /// * [`ScenarioError::SuiteTooLarge`] — suite size above
     ///   [`MAX_SUITE_SIZE`];
     /// * [`ScenarioError::InvalidPolicy`] — an adaptive regime whose
-    ///   policy parameters are out of range.
+    ///   policy parameters are out of range;
+    /// * [`ScenarioError::InvalidGamma`] — a back-to-back regime whose γ
+    ///   is outside `[0, 1]`;
+    /// * [`ScenarioError::PairRegimeRequired`] — a back-to-back or
+    ///   adaptive regime on a system without exactly two components.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         // A system spec defines the component populations; its first two
         // become the scenario's pair so every pair study keeps working
@@ -512,12 +529,7 @@ impl ScenarioBuilder {
                 limit: MAX_SUITE_SIZE,
             });
         }
-        if let CampaignRegime::Adaptive(spec) = self.regime {
-            spec.validate()?;
-        }
-        if let Some(spec) = &self.system {
-            spec.require_regime(self.regime)?;
-        }
+        check_regime(self.regime, self.system.as_ref())?;
         let prepared = Arc::new(Prepared::new(Arc::clone(pop_a.model()), profile));
         Ok(Scenario {
             pop_a,
@@ -664,10 +676,17 @@ impl Scenario {
     // --- cheap variations (the prepared world is shared) ---------------
 
     /// The same scenario under a different regime.
-    pub fn with_regime(&self, regime: CampaignRegime) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The regime errors of [`ScenarioBuilder::build`]:
+    /// [`ScenarioError::InvalidPolicy`], [`ScenarioError::InvalidGamma`]
+    /// and [`ScenarioError::PairRegimeRequired`].
+    pub fn with_regime(&self, regime: CampaignRegime) -> Result<Self, ScenarioError> {
+        check_regime(regime, self.system.as_deref())?;
         let mut s = self.clone();
         s.regime = regime;
-        s
+        Ok(s)
     }
 
     /// The same scenario with a different suite size.
@@ -736,7 +755,7 @@ impl Scenario {
             })
             .collect();
         let spec = SystemSpec::new(structure, populations)?;
-        spec.require_regime(self.regime)?;
+        check_regime(self.regime, Some(&spec))?;
         let mut s = self.clone();
         s.system = Some(Arc::new(spec));
         Ok(s)
@@ -772,10 +791,7 @@ impl Scenario {
     /// # Errors
     ///
     /// [`ScenarioError::Missing`] if the scenario was built without a
-    /// [`ScenarioBuilder::system`] spec;
-    /// [`ScenarioError::PairRegimeRequired`] if a pair-only regime
-    /// (back-to-back, adaptive) meets a system that does not have exactly
-    /// two components.
+    /// [`ScenarioBuilder::system`] spec.
     pub fn system_run(&self, seed: u64) -> Result<SystemOutcome, ScenarioError> {
         crate::system::run_system(self, seed)
     }
@@ -987,6 +1003,23 @@ impl Scenario {
     }
 }
 
+/// The one regime check every [`Scenario`] has passed, run by
+/// [`ScenarioBuilder::build`], [`Scenario::with_regime`] and
+/// [`Scenario::with_structure`]: the adaptive policy's parameters, the
+/// back-to-back γ, and whether the system (if any) can run the regime.
+fn check_regime(regime: CampaignRegime, system: Option<&SystemSpec>) -> Result<(), ScenarioError> {
+    match regime {
+        CampaignRegime::Adaptive(policy) => policy.validate()?,
+        CampaignRegime::BackToBack(identical) => {
+            if let Err(TestingError::InvalidProbability { value, .. }) = identical.validate() {
+                return Err(ScenarioError::InvalidGamma { value });
+            }
+        }
+        CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {}
+    }
+    system.map_or(Ok(()), |spec| spec.require_regime(regime))
+}
+
 fn validate_checkpoints(checkpoints: &[usize]) -> Result<(), ScenarioError> {
     if checkpoints.is_empty() {
         return Err(ScenarioError::InvalidCheckpoints {
@@ -1004,6 +1037,8 @@ fn validate_checkpoints(checkpoints: &[usize]) -> Result<(), ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicySpec;
+    use diversim_testing::oracle::IdenticalFailureModel;
     use diversim_universe::demand::DemandSpace;
     use diversim_universe::fault::FaultModelBuilder;
     use diversim_universe::population::BernoulliPopulation;
@@ -1156,6 +1191,55 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_gamma_outside_the_unit_interval() {
+        for gamma in [1.5, -0.2, f64::NAN] {
+            let regime = CampaignRegime::BackToBack(IdenticalFailureModel::Bernoulli(gamma));
+            let err = world().scenario().regime(regime).build().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::InvalidGamma { value } if value.to_bits() == gamma.to_bits()),
+                "gamma {gamma} gave {err:?}"
+            );
+        }
+        let edge = CampaignRegime::BackToBack(IdenticalFailureModel::Bernoulli(1.0));
+        assert!(world().scenario().regime(edge).build().is_ok());
+    }
+
+    #[test]
+    fn with_regime_runs_the_builder_regime_check() {
+        let s = world().scenario().suite_size(6).build().unwrap();
+        let eps = PolicySpec::EpsilonGreedy { epsilon: 1.5 };
+        assert_eq!(
+            s.with_regime(CampaignRegime::Adaptive(eps)).unwrap_err(),
+            ScenarioError::InvalidPolicy {
+                what: "epsilon",
+                value: 1.5
+            }
+        );
+        let ucb = PolicySpec::UcbIndex { c: f64::NAN };
+        assert!(matches!(
+            s.with_regime(CampaignRegime::Adaptive(ucb)).unwrap_err(),
+            ScenarioError::InvalidPolicy { what: "c", .. }
+        ));
+        let gamma = CampaignRegime::BackToBack(IdenticalFailureModel::Bernoulli(-0.2));
+        assert_eq!(
+            s.with_regime(gamma).unwrap_err(),
+            ScenarioError::InvalidGamma { value: -0.2 }
+        );
+        // A three-component system cannot run a pair-only regime.
+        let three = s.with_structure(Structure::series(3)).unwrap();
+        assert_eq!(
+            three
+                .with_regime(CampaignRegime::Adaptive(PolicySpec::RoundRobin))
+                .unwrap_err(),
+            ScenarioError::PairRegimeRequired {
+                regime: "adaptive",
+                components: 3
+            }
+        );
+        assert!(three.with_regime(CampaignRegime::IndependentSuites).is_ok());
+    }
+
+    #[test]
     fn seed_policies_derive_documented_seeds() {
         assert_eq!(
             SeedPolicy::sequence(9).seed_for(3),
@@ -1177,7 +1261,8 @@ mod tests {
         let varied = s
             .with_suite_size(5)
             .with_seed(9)
-            .with_regime(CampaignRegime::IndependentSuites);
+            .with_regime(CampaignRegime::IndependentSuites)
+            .unwrap();
         assert!(Arc::ptr_eq(&s.prepared, &varied.prepared));
         assert_eq!(varied.suite_size(), 5);
         assert_eq!(varied.seeds().root(), 9);

@@ -2,13 +2,15 @@
 //! study runs, `parallel_reduce`: block-boundary shapes, degenerate
 //! worker/block ratios, zero-width reducers, bitwise thread invariance
 //! through composite reducers, and the panic propagation contract
-//! (original payload + replication index, no secondary panics) on both
-//! the serial and the parallel path.
+//! (original payload + replication index, no secondary panics, no
+//! leaked accumulators) on both the serial and the parallel path.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use diversim_sim::runner::parallel_reduce;
-use diversim_stats::reduce::{Count, ElementWise, Moments, Sum};
+use diversim_stats::reduce::{Count, ElementWise, Moments, Reducer, Sum};
 use diversim_stats::seed::SeedSequence;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,6 +186,64 @@ fn non_string_panic_payloads_are_reraised_verbatim() {
             payload.downcast_ref::<i32>(),
             Some(&1234),
             "non-string payload must be re-raised unchanged ({replications} replications)"
+        );
+    }
+}
+
+/// A reducer whose accumulators count how many were created and how many
+/// were dropped.
+#[derive(Default)]
+struct DropCounting {
+    created: AtomicUsize,
+    dropped: Arc<AtomicUsize>,
+}
+
+#[derive(Debug)]
+struct Counted(Arc<AtomicUsize>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Reducer for DropCounting {
+    type Item = ();
+    type Acc = Counted;
+
+    fn empty(&self) -> Counted {
+        self.created.fetch_add(1, Ordering::Relaxed);
+        Counted(Arc::clone(&self.dropped))
+    }
+
+    fn push(&self, _acc: &mut Counted, _item: ()) {}
+
+    fn merge(&self, left: Counted, _right: Counted) -> Counted {
+        left
+    }
+}
+
+#[test]
+fn a_job_panic_drops_every_finished_fold() {
+    // Six blocks; the job panics in block 3. Workers check the abort
+    // flag only between blocks, so blocks 0–2 finish and their folds
+    // must be dropped on the way out.
+    let seeds = SeedSequence::new(6);
+    for threads in [2, 4] {
+        let reducer = DropCounting::default();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_reduce(6 * 1024, seeds, threads, &reducer, |i, _| {
+                assert!(i != 3 * 1024 + 17, "boom in block 3");
+            })
+        }));
+        let msg = panic_message(result.expect_err("the job panic must propagate"));
+        assert!(msg.contains("replication 3089"), "index lost: {msg}");
+        let created = reducer.created.load(Ordering::Relaxed);
+        assert!(created >= 2, "{threads} threads created {created} folds");
+        assert_eq!(
+            reducer.dropped.load(Ordering::Relaxed),
+            created,
+            "{threads} threads leaked accumulators"
         );
     }
 }

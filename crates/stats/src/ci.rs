@@ -29,11 +29,6 @@ impl Interval {
     pub fn width(&self) -> f64 {
         self.hi - self.lo
     }
-
-    /// Midpoint of the interval.
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -181,7 +176,7 @@ mod tests {
     #[test]
     fn normal_mean_symmetric_about_estimate() {
         let iv = normal_mean(10.0, 2.0, 0.95).unwrap();
-        assert!((iv.midpoint() - 10.0).abs() < 1e-12);
+        assert!((0.5 * (iv.lo + iv.hi) - 10.0).abs() < 1e-12);
         assert!((iv.width() - 2.0 * 1.959_963_984_540_054 * 2.0).abs() < 1e-6);
     }
 

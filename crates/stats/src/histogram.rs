@@ -120,17 +120,6 @@ impl Histogram {
         (self.min + i as f64 * w, self.min + (i + 1) as f64 * w)
     }
 
-    /// Index of the most populated bin (ties resolved to the lowest index).
-    pub fn mode_bin(&self) -> usize {
-        let mut best = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > self.counts[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Combines two histograms over the *identical* binning, as if every
     /// observation had been pushed into one (bin, underflow and overflow
     /// counts add). This is what lets histograms accumulate in parallel
@@ -158,16 +147,6 @@ impl Histogram {
             underflow: self.underflow + other.underflow,
             overflow: self.overflow + other.overflow,
         }
-    }
-
-    /// Renders rows of `lo<TAB>hi<TAB>count` for machine-readable output.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.counts.len() {
-            let (lo, hi) = self.bin_range(i);
-            out.push_str(&format!("{lo:.6}\t{hi:.6}\t{}\n", self.counts[i]));
-        }
-        out
     }
 }
 
@@ -213,13 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_bin_finds_peak() {
-        let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
-        h.extend([0.6, 0.6, 0.65, 0.1]);
-        assert_eq!(h.mode_bin(), 2);
-    }
-
-    #[test]
     fn merge_adds_all_counters() {
         let mut a = Histogram::new(0.0, 1.0, 2).unwrap();
         a.extend([0.1, -1.0]);
@@ -238,14 +210,5 @@ mod tests {
         let a = Histogram::new(0.0, 1.0, 2).unwrap();
         let b = Histogram::new(0.0, 1.0, 3).unwrap();
         let _ = a.merge(&b);
-    }
-
-    #[test]
-    fn tsv_has_one_row_per_bin() {
-        let mut h = Histogram::new(0.0, 1.0, 3).unwrap();
-        h.push(0.5);
-        let tsv = h.to_tsv();
-        assert_eq!(tsv.lines().count(), 3);
-        assert!(tsv.contains('\t'));
     }
 }

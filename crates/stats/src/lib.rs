@@ -38,6 +38,7 @@
 //! assert!((acc.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

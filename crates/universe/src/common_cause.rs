@@ -66,12 +66,6 @@ impl CommonCauseEvent {
             CommonCauseEvent::Mistake { faults } => version.add_faults(faults.iter().copied()),
         }
     }
-
-    /// Applies the event to every version of a slice — the "same test
-    /// suite against all versions" semantics of §5.
-    pub fn apply_all(&self, versions: &mut [Version]) -> usize {
-        versions.iter_mut().map(|v| self.apply(v)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +100,8 @@ mod tests {
             Version::correct(&m),
         ];
         let ev = CommonCauseEvent::Clarification { faults: vec![f(1)] };
-        assert_eq!(ev.apply_all(&mut versions), 2);
+        let removed: usize = versions.iter_mut().map(|v| ev.apply(v)).sum();
+        assert_eq!(removed, 2);
         for v in &versions {
             assert!(!v.has_fault(f(1)));
         }
@@ -121,7 +116,8 @@ mod tests {
         let mut versions = vec![Version::correct(&m), Version::from_faults(&m, [f(2)])];
         let ev = CommonCauseEvent::Mistake { faults: vec![f(2)] };
         // Version 1 already has the fault, so only one addition.
-        assert_eq!(ev.apply_all(&mut versions), 1);
+        let added: usize = versions.iter_mut().map(|v| ev.apply(v)).sum();
+        assert_eq!(added, 1);
         for v in &versions {
             assert!(v.has_fault(f(2)));
             assert!(v.fails_on(&m, d(2)), "all versions now fail identically");

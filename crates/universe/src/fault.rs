@@ -348,17 +348,6 @@ impl FaultModel {
         self.region_sets[f.index()].intersects_set(suite_demands)
     }
 
-    /// The paper's `D_X` for a set of faults: the union of their failure
-    /// regions — every demand whose score changes if all those faults are
-    /// fixed (and no other fault covers it).
-    pub fn affected_demands<I: IntoIterator<Item = FaultId>>(&self, faults: I) -> BitSet {
-        let mut out = BitSet::new(self.space.len());
-        for f in faults {
-            self.region_sets[f.index()].union_into(&mut out);
-        }
-        out
-    }
-
     /// Returns `true` if every failure region has size one — the regime in
     /// which the model coincides with the paper's abstract score model.
     pub fn is_singleton(&self) -> bool {
@@ -496,14 +485,6 @@ mod tests {
             err.unwrap_err(),
             UniverseError::DemandOutOfRange { demand: 5, .. }
         ));
-    }
-
-    #[test]
-    fn affected_demands_unions_regions() {
-        let m =
-            FaultModel::new(space(5), vec![Fault::new([d(0), d(1)]), Fault::new([d(3)])]).unwrap();
-        let dx = m.affected_demands([FaultId::new(0), FaultId::new(1)]);
-        assert_eq!(dx.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
     }
 
     #[test]

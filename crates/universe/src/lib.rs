@@ -42,6 +42,7 @@
 //! # Ok::<(), diversim_universe::error::UniverseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -248,15 +248,6 @@ impl BernoulliPopulation {
         }
         1.0 - survive_all_correct
     }
-
-    /// Number of faults with propensity strictly between 0 and 1 (the
-    /// enumeration exponent: support size is `2^free`).
-    pub fn free_fault_count(&self) -> usize {
-        self.propensities
-            .iter()
-            .filter(|&&p| p > 0.0 && p < 1.0)
-            .count()
-    }
 }
 
 impl Population for BernoulliPopulation {
@@ -422,7 +413,6 @@ mod tests {
     fn bernoulli_enumeration_skips_degenerate_faults() {
         // Propensity 0 and 1 faults are fixed, only one free fault remains.
         let pop = BernoulliPopulation::new(model(), vec![0.0, 1.0, 0.5]).unwrap();
-        assert_eq!(pop.free_fault_count(), 1);
         let support = pop.enumerate(8).unwrap();
         assert_eq!(support.len(), 2);
         for (v, _) in &support {

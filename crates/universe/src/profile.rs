@@ -107,11 +107,6 @@ impl UsageProfile {
         &self.probabilities
     }
 
-    /// Total probability of a set of demands `Σ_{x ∈ set} Q(x)`.
-    pub fn mass_of<I: IntoIterator<Item = DemandId>>(&self, demands: I) -> f64 {
-        demands.into_iter().map(|x| self.probability(x)).sum()
-    }
-
     /// Draws one demand `X ~ Q(·)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> DemandId {
         match &self.sampler {
@@ -149,25 +144,6 @@ impl UsageProfile {
     /// Expectation `E_Q[f(X)] = Σ f(x) Q(x)` of a function over demands.
     pub fn expect<F: FnMut(DemandId) -> f64>(&self, mut f: F) -> f64 {
         self.iter().map(|(x, q)| f(x) * q).sum()
-    }
-
-    /// A new profile proportional to `self` restricted to `demands`
-    /// (everything else gets zero weight) — used for debug-targeted test
-    /// generation over a sub-domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the restriction has zero total mass.
-    pub fn restricted_to<I: IntoIterator<Item = DemandId>>(
-        &self,
-        demands: I,
-    ) -> Result<Self, UniverseError> {
-        let mut weights = vec![0.0; self.space.len()];
-        for x in demands {
-            self.space.check(x)?;
-            weights[x.index()] = self.probabilities[x.index()];
-        }
-        Self::from_weights(self.space, weights)
     }
 }
 
@@ -226,13 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn mass_of_sums_probabilities() {
-        let q = UsageProfile::from_weights(space(4), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let m = q.mass_of([DemandId::new(0), DemandId::new(3)]);
-        assert!((m - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn sampling_matches_distribution() {
         let q = UsageProfile::from_weights(space(3), vec![0.6, 0.3, 0.1]).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
@@ -251,23 +220,6 @@ mod tests {
         let q = UsageProfile::from_weights(space(2), vec![0.25, 0.75]).unwrap();
         let e = q.expect(|x| if x.index() == 1 { 1.0 } else { 0.0 });
         assert!((e - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn restriction_renormalises() {
-        let q = UsageProfile::from_weights(space(3), vec![0.2, 0.3, 0.5]).unwrap();
-        let r = q
-            .restricted_to([DemandId::new(1), DemandId::new(2)])
-            .unwrap();
-        assert_eq!(r.probability(DemandId::new(0)), 0.0);
-        assert!((r.probability(DemandId::new(1)) - 0.375).abs() < 1e-12);
-        assert!((r.probability(DemandId::new(2)) - 0.625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn restriction_to_nothing_errors() {
-        let q = UsageProfile::uniform(space(3));
-        assert!(q.restricted_to(std::iter::empty()).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::demand::DemandSpace;
 use crate::error::UniverseError;
-use crate::fault::{Fault, FaultModel};
+use crate::fault::FaultModel;
 use crate::profile::UsageProfile;
 
 /// A demand space, its usage distribution and the potential-fault model.
@@ -37,24 +37,6 @@ impl Universe {
         Ok(Self { profile, model })
     }
 
-    /// Convenience constructor: uniform usage over `n_demands` demands and
-    /// the given faults.
-    ///
-    /// # Errors
-    ///
-    /// Propagates demand-space and fault-model validation errors.
-    pub fn with_uniform_profile(
-        n_demands: usize,
-        faults: Vec<Fault>,
-    ) -> Result<Self, UniverseError> {
-        let space = DemandSpace::new(n_demands)?;
-        let model = Arc::new(FaultModel::new(space, faults)?);
-        Ok(Self {
-            profile: UsageProfile::uniform(space),
-            model,
-        })
-    }
-
     /// The demand space.
     pub fn space(&self) -> DemandSpace {
         self.model.space()
@@ -69,26 +51,19 @@ impl Universe {
     pub fn model(&self) -> &Arc<FaultModel> {
         &self.model
     }
-
-    /// Replaces the usage profile (e.g. to study a different operational
-    /// environment over the same faults).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the new profile's space differs.
-    pub fn with_profile(&self, profile: UsageProfile) -> Result<Self, UniverseError> {
-        Self::new(profile, Arc::clone(&self.model))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::demand::DemandId;
+    use crate::fault::Fault;
 
     #[test]
     fn bundles_matching_spaces() {
-        let u = Universe::with_uniform_profile(3, vec![Fault::new([DemandId::new(0)])]).unwrap();
+        let space = DemandSpace::new(3).unwrap();
+        let model = FaultModel::new(space, vec![Fault::new([DemandId::new(0)])]).unwrap();
+        let u = Universe::new(UsageProfile::uniform(space), Arc::new(model)).unwrap();
         assert_eq!(u.space().len(), 3);
         assert_eq!(u.model().fault_count(), 1);
         assert!((u.profile().probability(DemandId::new(1)) - 1.0 / 3.0).abs() < 1e-12);
@@ -101,15 +76,5 @@ mod tests {
         let profile = UsageProfile::uniform(space_a);
         let model = Arc::new(FaultModel::new(space_b, vec![]).unwrap());
         assert!(Universe::new(profile, model).is_err());
-    }
-
-    #[test]
-    fn with_profile_swaps_usage() {
-        let u = Universe::with_uniform_profile(2, vec![]).unwrap();
-        let skewed = UsageProfile::from_weights(u.space(), vec![0.9, 0.1]).unwrap();
-        let u2 = u.with_profile(skewed).unwrap();
-        assert!((u2.profile().probability(DemandId::new(0)) - 0.9).abs() < 1e-12);
-        // Model is shared, not cloned.
-        assert!(Arc::ptr_eq(u.model(), u2.model()));
     }
 }

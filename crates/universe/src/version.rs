@@ -162,11 +162,6 @@ impl Version {
         }
         added
     }
-
-    /// Set of faults shared with another version.
-    pub fn common_faults(&self, other: &Version) -> usize {
-        self.faults.intersection_len(&other.faults)
-    }
 }
 
 #[cfg(test)]
@@ -252,14 +247,6 @@ mod tests {
         assert_eq!(v.add_faults([f(1)]), 1);
         assert_eq!(v.add_faults([f(1)]), 0, "already present");
         assert!(v.fails_on(&m, d(2)));
-    }
-
-    #[test]
-    fn common_faults_counts_intersection() {
-        let m = model();
-        let a = Version::from_faults(&m, [f(0), f(1)]);
-        let b = Version::from_faults(&m, [f(1), f(2)]);
-        assert_eq!(a.common_faults(&b), 1);
     }
 
     #[test]

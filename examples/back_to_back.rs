@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => IdenticalFailureModel::Bernoulli(gamma),
         };
         let est = base
-            .with_regime(CampaignRegime::BackToBack(identical))
+            .with_regime(CampaignRegime::BackToBack(identical))?
             .with_seed(7 + step as u64)
             .estimate(replications, diversim::sim::runner::default_threads());
         let inside = bounds.contains(est.system_pfd.mean)

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("demands   version pfd     system pfd          version pfd     system pfd");
 
     let ind = scenario
-        .with_regime(CampaignRegime::IndependentSuites)
+        .with_regime(CampaignRegime::IndependentSuites)?
         .with_seed(21)
         .growth(&checkpoints, replications, threads)?;
     let sh = scenario

@@ -45,7 +45,7 @@ fn every_regime_is_seed_deterministic_and_thread_invariant() {
     let world = setup();
     let base = world.scenario().suite_size(10).seed(31337).build().unwrap();
     for regime in all_regimes() {
-        let s = base.with_regime(regime);
+        let s = base.with_regime(regime).unwrap();
         assert_eq!(s.run(777), s.run(777), "{regime:?}: run(seed) not pure");
         let one = s.estimate(256, 1);
         let eight = s.estimate(256, 8);
@@ -203,6 +203,7 @@ fn campaigns_with_same_seed_share_version_draws() {
     let a = base.run(4242);
     let b = base
         .with_regime(CampaignRegime::IndependentSuites)
+        .unwrap()
         .run(4242);
     // Zero-size suites: the outcome is exactly the drawn versions.
     assert_eq!(a.first, b.first);

@@ -39,6 +39,7 @@ fn imperfect_closed_form_matches_full_pipeline() {
                     .unwrap();
             let est = base
                 .with_regime(campaign)
+                .unwrap()
                 .with_oracle(ImperfectOracle::new(detect).unwrap())
                 .with_fixer(ImperfectFixer::new(fix).unwrap())
                 .with_seed((detect * 1000.0) as u64 + (fix * 100.0) as u64)
@@ -60,7 +61,7 @@ fn shared_suite_raises_measured_failure_correlation() {
     let w = singleton_setup(vec![0.3, 0.5, 0.7, 0.9]);
     let model = w.model().clone();
     let base = w.scenario().suite_size(3).build().unwrap();
-    let indep = base.with_regime(CampaignRegime::IndependentSuites);
+    let indep = base.with_regime(CampaignRegime::IndependentSuites).unwrap();
     let mut corr_shared = diversim::stats::online::MeanVar::new();
     let mut corr_indep = diversim::stats::online::MeanVar::new();
     for seed in 0..4_000 {

@@ -32,7 +32,7 @@ fn simulation_matches_exact_for_both_regimes() {
         (CampaignRegime::SharedSuite, SuiteAssignment::Shared(&m)),
     ] {
         let exact = MarginalAnalysis::compute(&w.pop_a, &w.pop_a, assignment, &w.profile);
-        let est = scenario.with_regime(regime).estimate(40_000, 4);
+        let est = scenario.with_regime(regime).unwrap().estimate(40_000, 4);
         assert!(
             (est.system_pfd.mean - exact.system_pfd()).abs()
                 < 4.0 * est.system_pfd.standard_error + 1e-9,
@@ -134,6 +134,7 @@ fn back_to_back_endpoints_hit_the_bounds_exactly() {
 
     let optimistic = scenario
         .with_regime(CampaignRegime::BackToBack(IdenticalFailureModel::Never))
+        .unwrap()
         .with_seed(77)
         .estimate(40_000, 4);
     assert!(
@@ -146,6 +147,7 @@ fn back_to_back_endpoints_hit_the_bounds_exactly() {
 
     let pessimistic = scenario
         .with_regime(CampaignRegime::BackToBack(IdenticalFailureModel::Always))
+        .unwrap()
         .with_seed(78)
         .estimate(40_000, 4);
     assert!(
@@ -161,6 +163,7 @@ fn back_to_back_endpoints_hit_the_bounds_exactly() {
         .with_regime(CampaignRegime::BackToBack(
             IdenticalFailureModel::Bernoulli(0.5),
         ))
+        .unwrap()
         .with_seed(79)
         .estimate(40_000, 4);
     assert!(mid.system_pfd.mean > bounds.optimistic - 1e-9);
