@@ -84,12 +84,14 @@ fn run(ctx: &mut RunContext) {
                 );
                 let mc_ind = scenario
                     .with_suite_size(n)
+                    .expect("the suite sizes are far below the cap")
                     .with_regime(CampaignRegime::IndependentSuites)
                     .expect("a suite regime is valid")
                     .with_seed(600 + n as u64)
                     .estimate(replications, scope.threads());
                 let mc_sh = scenario
                     .with_suite_size(n)
+                    .expect("the suite sizes are far below the cap")
                     .with_seed(700 + n as u64)
                     .estimate(replications, scope.threads());
                 vec![

@@ -72,12 +72,14 @@ fn run(ctx: &mut RunContext) {
             |scope| {
                 let ind = scenario
                     .with_suite_size(n)
+                    .expect("the suite sizes are far below the cap")
                     .with_regime(CampaignRegime::IndependentSuites)
                     .expect("a suite regime is valid")
                     .with_seed(800 + n as u64)
                     .estimate(replications, scope.threads());
                 let shared = scenario
                     .with_suite_size(n)
+                    .expect("the suite sizes are far below the cap")
                     .with_seed(900 + n as u64)
                     .estimate(replications, scope.threads());
                 // Merged arm via the paired comparison study (consecutive

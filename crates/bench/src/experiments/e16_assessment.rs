@@ -101,6 +101,7 @@ fn run(ctx: &mut RunContext) {
                 // d = rho and the default perfect fixer (rho = d·r).
                 let mc = scenario
                     .with_suite_size(n)
+                    .expect("the suite sizes are far below the cap")
                     .with_oracle(ImperfectOracle::new(rho).expect("valid"))
                     .with_seed(1600 + n as u64 + (rho * 100.0) as u64)
                     .estimate(replications, scope.threads());

@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use diversim_sim::scenario::Scenario;
 use diversim_universe::generator::{ProfileKind, PropensityKind, RegionSize, UniverseSpec};
 
-use crate::worlds::World;
+use crate::worlds::{self, World};
 
 use super::error::ServeError;
 use super::request::WorldSpec;
@@ -179,18 +179,11 @@ impl WorldCache {
 fn build_world(spec: &WorldSpec) -> Result<CachedWorld, ServeError> {
     let world: World = match spec {
         WorldSpec::Singleton { props } => World::singleton_uniform("request", props.clone())?,
-        WorldSpec::Fixture { name } => match name.as_str() {
-            "small-graded" => crate::worlds::small_graded(),
-            "mirrored" => crate::worlds::mirrored(0.5, 0.05),
-            "negative-coupling" => crate::worlds::negative_coupling(),
-            "medium-cascade" => crate::worlds::medium_cascade(1),
-            "large" => crate::worlds::large(2),
-            other => {
-                return Err(ServeError::UnknownFixture {
-                    name: other.to_string(),
-                })
-            }
-        },
+        WorldSpec::Fixture { name } => {
+            let build = worlds::fixture(name)
+                .ok_or_else(|| ServeError::UnknownFixture { name: name.clone() })?;
+            build()
+        }
         WorldSpec::Generated {
             demands,
             faults,

@@ -7,7 +7,9 @@
 //!
 //! * [`request`] — the versioned `diversim/v1` wire types
 //!   ([`request::EvaluationRequest`] / [`request::EvaluationResponse`],
-//!   newline-delimited JSON; tolerant reader, strict writer);
+//!   newline-delimited JSON; tolerant reader, strict writer). A
+//!   response is the one JSON document it renders to: the service
+//!   builds each `result` object where it computes the numbers;
 //! * [`error`] — the typed failure surface whose `Display` strings are
 //!   the wire `error` messages;
 //! * [`cache`] — the content-addressed LRU cache of prepared worlds;
@@ -27,6 +29,10 @@
 //! reproducible, non-colliding replication streams, and the same
 //! request set yields byte-identical responses over any number of
 //! connections and server threads.
+//!
+//! The bytes themselves are pinned: `tests/golden/serve_requests.ndjson`
+//! must get exactly `tests/golden/serve_responses.ndjson`, through
+//! [`server::serve_lines`] in the tests and from the release binary in CI.
 
 pub mod cache;
 pub mod error;

@@ -24,6 +24,32 @@
 //! `result` object or `"ok":false` plus a stable `error` string (the
 //! [`ServeError`] display rendering).
 //!
+//! # Results
+//!
+//! An [`EvaluationResponse`] holds the document it renders to. The
+//! service builds each `result` object once, where it computes the
+//! numbers; its members, in wire order, are:
+//!
+//! * `estimate`: `kind`, `world` (the world's label), `world_hash` (16
+//!   hex digits of [`WorldSpec::content_hash`]), `root_seed` (the
+//!   derived seed root as a decimal *string*: it is a full 64-bit
+//!   value, and JSON numbers carry only 53 bits exactly),
+//!   `replications`, then the tested pair's `system_pfd`,
+//!   `version_a_pfd` and `version_b_pfd`;
+//! * `growth`: the same five head members, then `checkpoints` and the
+//!   per-checkpoint series `system`, `version_a` and `version_b`;
+//! * `system`: the same head, then `structure` (the request's tree,
+//!   echoed), `system_pfd` after testing, `system_pfd_before` (the
+//!   untested components through the structure) and `component_pfds`
+//!   after testing, in component order;
+//! * `experiment`: `kind`, `experiment` (the result-file name),
+//!   `profile`, `passed` (failed checks under an enforcing profile fail
+//!   the run) and `checks`, a list of `{label, passed}`;
+//! * `pong`: `kind` alone.
+//!
+//! Each estimated quantity is `{mean, se}`: the mean across
+//! replications and its standard error.
+//!
 //! # Seed-derivation contract
 //!
 //! A request's effective seed root is
@@ -42,6 +68,7 @@ use diversim_testing::oracle::IdenticalFailureModel;
 use crate::hashing::fnv1a64;
 use crate::json::{self, Value};
 use crate::spec::Profile;
+use crate::worlds;
 
 use super::error::ServeError;
 
@@ -68,7 +95,7 @@ pub enum WorldSpec {
         /// Per-fault propensities, each in `[0, 1]`.
         props: Vec<f64>,
     },
-    /// A named standard fixture from [`crate::worlds`].
+    /// A named standard fixture from [`worlds::FIXTURES`].
     Fixture {
         /// `"small-graded"`, `"mirrored"`, `"negative-coupling"`,
         /// `"medium-cascade"` or `"large"`.
@@ -163,7 +190,7 @@ impl WorldSpec {
                 }
             }
             WorldSpec::Fixture { name } => {
-                if !FIXTURES.contains(&name.as_str()) {
+                if worlds::fixture(name).is_none() {
                     return Err(ServeError::UnknownFixture { name: name.clone() });
                 }
             }
@@ -298,15 +325,6 @@ impl WorldSpec {
     }
 }
 
-/// The fixture names [`WorldSpec::Fixture`] accepts, in wire spelling.
-pub const FIXTURES: &[&str] = &[
-    "small-graded",
-    "mirrored",
-    "negative-coupling",
-    "medium-cascade",
-    "large",
-];
-
 /// The testing regime of an evaluation request.
 ///
 /// Every [`CampaignRegime`] — including every identical-failure model
@@ -342,46 +360,32 @@ impl RegimeSpec {
         }
     }
 
-    /// The wire spec denoting `regime` — a total inverse of
-    /// [`RegimeSpec::to_regime`], so every simulation regime can be
-    /// expressed on the wire and recovered exactly.
-    pub fn from_regime(regime: CampaignRegime) -> Self {
-        match regime {
-            CampaignRegime::SharedSuite => RegimeSpec::Shared,
-            CampaignRegime::IndependentSuites => RegimeSpec::Independent,
-            CampaignRegime::BackToBack(model) => RegimeSpec::BackToBack { model },
-            CampaignRegime::Adaptive(policy) => RegimeSpec::Adaptive { policy },
-        }
-    }
-
+    /// The domain's own parameter checks
+    /// ([`IdenticalFailureModel::validate`], [`PolicySpec::validate`]),
+    /// reported under the wire field that carries the parameter.
     fn validate(&self) -> Result<(), ServeError> {
-        match self {
+        let (field, message) = match *self {
             RegimeSpec::BackToBack {
-                model: IdenticalFailureModel::Bernoulli(gamma),
-            } if !gamma.is_finite() || !(0.0..=1.0).contains(gamma) => {
-                return Err(ServeError::InvalidField {
-                    field: "regime.gamma",
-                    message: format!("must be a probability in [0, 1], got {gamma}"),
-                });
-            }
-            RegimeSpec::Adaptive { policy } => match *policy {
-                PolicySpec::EpsilonGreedy { epsilon } if policy.validate().is_err() => {
-                    return Err(ServeError::InvalidField {
-                        field: "regime.epsilon",
-                        message: format!("must be a probability in [0, 1], got {epsilon}"),
-                    });
-                }
-                PolicySpec::UcbIndex { c } if policy.validate().is_err() => {
-                    return Err(ServeError::InvalidField {
-                        field: "regime.c",
-                        message: format!("must be a finite non-negative number, got {c}"),
-                    });
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-        Ok(())
+                model: model @ IdenticalFailureModel::Bernoulli(gamma),
+            } if model.validate().is_err() => (
+                "regime.gamma",
+                format!("must be a probability in [0, 1], got {gamma}"),
+            ),
+            RegimeSpec::Adaptive {
+                policy: policy @ PolicySpec::EpsilonGreedy { epsilon },
+            } if policy.validate().is_err() => (
+                "regime.epsilon",
+                format!("must be a probability in [0, 1], got {epsilon}"),
+            ),
+            RegimeSpec::Adaptive {
+                policy: policy @ PolicySpec::UcbIndex { c },
+            } if policy.validate().is_err() => (
+                "regime.c",
+                format!("must be a finite non-negative number, got {c}"),
+            ),
+            _ => return Ok(()),
+        };
+        Err(ServeError::InvalidField { field, message })
     }
 
     /// The strict wire rendering of this regime.
@@ -641,27 +645,6 @@ impl SystemSpec {
             SystemSpec::KOutOfN { k, children } => {
                 Structure::k_out_of_n(*k, children.iter().map(SystemSpec::to_structure).collect())
             }
-        }
-    }
-
-    /// The wire spec denoting `structure` — a total inverse of
-    /// [`SystemSpec::to_structure`], so every structure tree can be
-    /// expressed on the wire and recovered exactly.
-    pub fn from_structure(structure: &Structure) -> Self {
-        let specs =
-            |children: &[Structure]| children.iter().map(SystemSpec::from_structure).collect();
-        match structure {
-            Structure::Component(index) => SystemSpec::Component { index: *index },
-            Structure::And(children) => SystemSpec::And {
-                children: specs(children),
-            },
-            Structure::Or(children) => SystemSpec::Or {
-                children: specs(children),
-            },
-            Structure::KOutOfN { k, children } => SystemSpec::KOutOfN {
-                k: *k,
-                children: specs(children),
-            },
         }
     }
 
@@ -968,253 +951,27 @@ impl EvaluationRequest {
     }
 }
 
-/// A `(mean, standard error)` pair of one estimated quantity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireEstimate {
-    /// Sample mean across replications.
-    pub mean: f64,
-    /// Standard error of the mean.
-    pub se: f64,
-}
-
-impl WireEstimate {
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("mean".into(), Value::Number(self.mean)),
-            ("se".into(), Value::Number(self.se)),
-        ])
-    }
-}
-
-/// The result payload of an estimate study.
+/// One response line of the `diversim/v1` protocol, held as the wire
+/// document it renders to (see the module docs' *Results*).
 #[derive(Debug, Clone, PartialEq)]
-pub struct EstimateResult {
-    /// The world's parameter-derived label.
-    pub world: String,
-    /// The world's content hash, as 16 hex digits.
-    pub world_hash: String,
-    /// The derived seed root actually used (see the module docs).
-    /// Emitted as a decimal *string*: it is a full 64-bit value, and
-    /// JSON numbers only carry 53 bits exactly.
-    pub root_seed: u64,
-    /// Replications spent.
-    pub replications: u64,
-    /// 1-out-of-2 system pfd of the tested pair.
-    pub system_pfd: WireEstimate,
-    /// Version A pfd after testing.
-    pub version_a_pfd: WireEstimate,
-    /// Version B pfd after testing.
-    pub version_b_pfd: WireEstimate,
-}
-
-/// The result payload of a growth study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GrowthResult {
-    /// The world's parameter-derived label.
-    pub world: String,
-    /// The world's content hash, as 16 hex digits.
-    pub world_hash: String,
-    /// The derived seed root actually used.
-    pub root_seed: u64,
-    /// Replications spent.
-    pub replications: u64,
-    /// The testing-effort checkpoints.
-    pub checkpoints: Vec<usize>,
-    /// System pfd per checkpoint.
-    pub system: Vec<WireEstimate>,
-    /// Version A pfd per checkpoint.
-    pub version_a: Vec<WireEstimate>,
-    /// Version B pfd per checkpoint.
-    pub version_b: Vec<WireEstimate>,
-}
-
-/// The result payload of a structure-scored estimate study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemResult {
-    /// The world's parameter-derived label.
-    pub world: String,
-    /// The world's content hash, as 16 hex digits.
-    pub world_hash: String,
-    /// The derived seed root actually used.
-    pub root_seed: u64,
-    /// Replications spent.
-    pub replications: u64,
-    /// The structure that scored the campaign, echoed.
-    pub structure: SystemSpec,
-    /// System pfd after testing, through the structure.
-    pub system_pfd: WireEstimate,
-    /// System pfd of the untested components, through the structure.
-    pub system_pfd_before: WireEstimate,
-    /// Per-component pfd after testing, in component order.
-    pub component_pfds: Vec<WireEstimate>,
-}
-
-/// The result payload of an experiment run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentResult {
-    /// The experiment's binary/result-file name.
-    pub name: String,
-    /// The profile it ran under.
-    pub profile: String,
-    /// Whether the run passed (failed checks under an enforcing
-    /// profile fail the run).
-    pub passed: bool,
-    /// Every reproduction check: `(label, passed)`.
-    pub checks: Vec<(String, bool)>,
-}
-
-/// What a response carries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResponseBody {
-    /// The request was rejected or failed; `message` is the stable
-    /// [`ServeError`] rendering.
-    Error {
-        /// Why (stable wire text).
-        message: String,
-    },
-    /// Answer to a ping.
-    Pong,
-    /// Answer to an estimate study.
-    Estimate(EstimateResult),
-    /// Answer to a growth study.
-    Growth(GrowthResult),
-    /// Answer to a structure-scored estimate study.
-    System(SystemResult),
-    /// Answer to an experiment run.
-    Experiment(ExperimentResult),
-}
-
-/// One response line of the `diversim/v1` protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluationResponse {
-    /// The request id, echoed.
-    pub id: String,
-    /// The payload.
-    pub body: ResponseBody,
-}
+pub struct EvaluationResponse(Value);
 
 impl EvaluationResponse {
-    /// An error response for `id`.
-    pub fn error(id: impl Into<String>, error: &ServeError) -> Self {
-        EvaluationResponse {
-            id: id.into(),
-            body: ResponseBody::Error {
-                message: error.to_string(),
-            },
-        }
+    /// The success response for `id`, carrying a `result` object.
+    pub fn answer(id: impl Into<String>, result: Value) -> Self {
+        EvaluationResponse(envelope(id.into(), true, ("result", result)))
     }
 
-    /// Whether this response reports success.
-    pub fn is_ok(&self) -> bool {
-        !matches!(self.body, ResponseBody::Error { .. })
+    /// An error response for `id`.
+    pub fn error(id: impl Into<String>, error: &ServeError) -> Self {
+        let message = Value::String(error.to_string());
+        EvaluationResponse(envelope(id.into(), false, ("error", message)))
     }
 
     /// The strict one-line wire rendering of this response: a pure
     /// function of `self`, so equal responses are byte-identical.
     pub fn to_json(&self) -> String {
-        let mut members = vec![
-            ("api".to_string(), Value::String(API_VERSION.into())),
-            ("id".to_string(), Value::String(self.id.clone())),
-            ("ok".to_string(), Value::Bool(self.is_ok())),
-        ];
-        match &self.body {
-            ResponseBody::Error { message } => {
-                members.push(("error".into(), Value::String(message.clone())));
-            }
-            ResponseBody::Pong => {
-                members.push((
-                    "result".into(),
-                    Value::Object(vec![("kind".into(), Value::String("pong".into()))]),
-                ));
-            }
-            ResponseBody::Estimate(r) => {
-                members.push((
-                    "result".into(),
-                    Value::Object(vec![
-                        ("kind".into(), Value::String("estimate".into())),
-                        ("world".into(), Value::String(r.world.clone())),
-                        ("world_hash".into(), Value::String(r.world_hash.clone())),
-                        ("root_seed".into(), Value::String(r.root_seed.to_string())),
-                        ("replications".into(), Value::Number(r.replications as f64)),
-                        ("system_pfd".into(), r.system_pfd.to_value()),
-                        ("version_a_pfd".into(), r.version_a_pfd.to_value()),
-                        ("version_b_pfd".into(), r.version_b_pfd.to_value()),
-                    ]),
-                ));
-            }
-            ResponseBody::Growth(r) => {
-                let series = |estimates: &[WireEstimate]| {
-                    Value::Array(estimates.iter().map(|e| e.to_value()).collect())
-                };
-                members.push((
-                    "result".into(),
-                    Value::Object(vec![
-                        ("kind".into(), Value::String("growth".into())),
-                        ("world".into(), Value::String(r.world.clone())),
-                        ("world_hash".into(), Value::String(r.world_hash.clone())),
-                        ("root_seed".into(), Value::String(r.root_seed.to_string())),
-                        ("replications".into(), Value::Number(r.replications as f64)),
-                        (
-                            "checkpoints".into(),
-                            Value::Array(
-                                r.checkpoints
-                                    .iter()
-                                    .map(|&c| Value::Number(c as f64))
-                                    .collect(),
-                            ),
-                        ),
-                        ("system".into(), series(&r.system)),
-                        ("version_a".into(), series(&r.version_a)),
-                        ("version_b".into(), series(&r.version_b)),
-                    ]),
-                ));
-            }
-            ResponseBody::System(r) => {
-                members.push((
-                    "result".into(),
-                    Value::Object(vec![
-                        ("kind".into(), Value::String("system".into())),
-                        ("world".into(), Value::String(r.world.clone())),
-                        ("world_hash".into(), Value::String(r.world_hash.clone())),
-                        ("root_seed".into(), Value::String(r.root_seed.to_string())),
-                        ("replications".into(), Value::Number(r.replications as f64)),
-                        ("structure".into(), r.structure.to_value()),
-                        ("system_pfd".into(), r.system_pfd.to_value()),
-                        ("system_pfd_before".into(), r.system_pfd_before.to_value()),
-                        (
-                            "component_pfds".into(),
-                            Value::Array(r.component_pfds.iter().map(|e| e.to_value()).collect()),
-                        ),
-                    ]),
-                ));
-            }
-            ResponseBody::Experiment(r) => {
-                members.push((
-                    "result".into(),
-                    Value::Object(vec![
-                        ("kind".into(), Value::String("experiment".into())),
-                        ("experiment".into(), Value::String(r.name.clone())),
-                        ("profile".into(), Value::String(r.profile.clone())),
-                        ("passed".into(), Value::Bool(r.passed)),
-                        (
-                            "checks".into(),
-                            Value::Array(
-                                r.checks
-                                    .iter()
-                                    .map(|(label, passed)| {
-                                        Value::Object(vec![
-                                            ("label".into(), Value::String(label.clone())),
-                                            ("passed".into(), Value::Bool(*passed)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ));
-            }
-        }
-        Value::Object(members).to_json()
+        self.0.to_json()
     }
 
     /// Minimal client-side reader: extracts `(id, ok)` from a response
@@ -1245,6 +1002,16 @@ impl EvaluationResponse {
             .ok_or_else(|| protocol("response missing \"ok\""))?;
         Ok((id.to_string(), ok))
     }
+}
+
+/// A response document: `api`, `id` and `ok`, then the payload member.
+fn envelope(id: String, ok: bool, (key, payload): (&str, Value)) -> Value {
+    Value::Object(vec![
+        ("api".into(), Value::String(API_VERSION.into())),
+        ("id".into(), Value::String(id)),
+        ("ok".into(), Value::Bool(ok)),
+        (key.into(), payload),
+    ])
 }
 
 // --- tolerant-reader helpers ------------------------------------------
@@ -1544,7 +1311,13 @@ mod tests {
             CampaignRegime::Adaptive(PolicySpec::UcbIndex { c: 0.5 }),
         ];
         for regime in regimes {
-            let spec = RegimeSpec::from_regime(regime);
+            // Exhaustive, so a new regime must gain a wire spec.
+            let spec = match regime {
+                CampaignRegime::SharedSuite => RegimeSpec::Shared,
+                CampaignRegime::IndependentSuites => RegimeSpec::Independent,
+                CampaignRegime::BackToBack(model) => RegimeSpec::BackToBack { model },
+                CampaignRegime::Adaptive(policy) => RegimeSpec::Adaptive { policy },
+            };
             assert_eq!(spec.to_regime(), regime, "{regime:?}");
             assert_eq!(
                 RegimeSpec::from_value(&spec.to_value()).unwrap(),
@@ -1679,10 +1452,8 @@ mod tests {
 
     #[test]
     fn responses_render_stable_lines() {
-        let ok = EvaluationResponse {
-            id: "r1".into(),
-            body: ResponseBody::Pong,
-        };
+        let pong = Value::Object(vec![("kind".into(), Value::String("pong".into()))]);
+        let ok = EvaluationResponse::answer("r1", pong);
         assert_eq!(
             ok.to_json(),
             r#"{"api":"diversim/v1","id":"r1","ok":true,"result":{"kind":"pong"}}"#

@@ -9,6 +9,7 @@
 //! same surface — `diversim run` calls it too, so a request rejected
 //! over the wire is rejected identically on the command line.
 
+use diversim_stats::online::MeanVar;
 use diversim_stats::seed::SeedSequence;
 
 use diversim_sim::estimate::Estimate;
@@ -21,9 +22,8 @@ use crate::registry;
 use super::cache::{CacheStats, WorldCache};
 use super::error::ServeError;
 use super::request::{
-    EstimateResult, EvaluateRequest, EvaluationRequest, EvaluationResponse, ExperimentRequest,
-    ExperimentResult, GrowthResult, RequestKind, ResponseBody, StudySpec, SystemResult,
-    WireEstimate,
+    EvaluateRequest, EvaluationRequest, EvaluationResponse, ExperimentRequest, RequestKind,
+    StudySpec,
 };
 
 /// The effective seed root of a request: the module-documented
@@ -70,11 +70,6 @@ impl EvaluationService {
         }
     }
 
-    /// The worker budget each request's replications are batched onto.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// World-cache counters (server-side observability; never part of
     /// a response).
     pub fn cache_stats(&self) -> CacheStats {
@@ -84,27 +79,29 @@ impl EvaluationService {
     /// Answers one request. Infallible by construction: failures
     /// become protocol error responses.
     pub fn handle(&self, request: &EvaluationRequest) -> EvaluationResponse {
-        let body = match &request.kind {
-            RequestKind::Ping => Ok(ResponseBody::Pong),
+        let answer = match &request.kind {
+            RequestKind::Ping => Ok(result("pong", [])),
             RequestKind::Evaluate(e) => self.evaluate(e, request.seed, request.stream),
-            RequestKind::Experiment(x) => execute_experiment(x, self.threads, true).map(|o| {
-                ResponseBody::Experiment(ExperimentResult {
-                    name: o.spec.name.to_string(),
-                    profile: o.profile.name().to_string(),
-                    passed: o.passed,
-                    checks: o
-                        .checks
-                        .iter()
-                        .map(|c| (c.label.clone(), c.passed))
-                        .collect(),
-                })
+            RequestKind::Experiment(x) => execute_experiment(x, self.threads, true).map(|run| {
+                let checks = run.checks.iter().map(|check| {
+                    Value::Object(vec![
+                        ("label".into(), Value::String(check.label.clone())),
+                        ("passed".into(), Value::Bool(check.passed)),
+                    ])
+                });
+                result(
+                    "experiment",
+                    [
+                        ("experiment", Value::String(run.spec.name.into())),
+                        ("profile", Value::String(run.profile.name().into())),
+                        ("passed", Value::Bool(run.passed)),
+                        ("checks", Value::Array(checks.collect())),
+                    ],
+                )
             }),
         };
-        match body {
-            Ok(body) => EvaluationResponse {
-                id: request.id.clone(),
-                body,
-            },
+        match answer {
+            Ok(answer) => EvaluationResponse::answer(request.id.clone(), answer),
             Err(e) => EvaluationResponse::error(request.id.clone(), &e),
         }
     }
@@ -119,80 +116,90 @@ impl EvaluationService {
         }
     }
 
+    /// Runs one evaluation and builds its `result` object.
     fn evaluate(
         &self,
         request: &EvaluateRequest,
         seed: u64,
         stream: u64,
-    ) -> Result<ResponseBody, ServeError> {
+    ) -> Result<Value, ServeError> {
         let cached = self.cache.get(&request.world)?;
         let root = derive_root_seed(seed, stream);
         let scenario = cached
             .scenario
             .with_regime(request.regime.to_regime())?
-            .with_suite_size(request.suite_size)
+            .with_suite_size(request.suite_size)?
             .with_seeds(SeedPolicy::Sequence(root));
-        let world = cached.label.clone();
-        let world_hash = format!("{:016x}", request.world.content_hash());
+        let head = [
+            ("world", Value::String(cached.label.clone())),
+            (
+                "world_hash",
+                Value::String(format!("{:016x}", request.world.content_hash())),
+            ),
+            ("root_seed", Value::String(root.to_string())),
+            ("replications", Value::Number(request.replications as f64)),
+        ];
+        let pfd = |e: &Estimate| mean_se(e.mean, e.standard_error);
         if let Some(system) = &request.system {
             // Validation pinned the study to `estimate`; the scenario
             // rejects regimes the structure cannot run under.
             let scenario = scenario.with_structure(system.to_structure())?;
             let est = scenario.system_estimate(request.replications, self.threads)?;
-            return Ok(ResponseBody::System(SystemResult {
-                world,
-                world_hash,
-                root_seed: root,
-                replications: request.replications,
-                structure: system.clone(),
-                system_pfd: wire(&est.system_pfd),
-                system_pfd_before: wire(&est.system_pfd_before),
-                component_pfds: est.component_pfds.iter().map(wire).collect(),
-            }));
+            let tail = [
+                ("structure", system.to_value()),
+                ("system_pfd", pfd(&est.system_pfd)),
+                ("system_pfd_before", pfd(&est.system_pfd_before)),
+                (
+                    "component_pfds",
+                    Value::Array(est.component_pfds.iter().map(pfd).collect()),
+                ),
+            ];
+            return Ok(result("system", head.into_iter().chain(tail)));
         }
         match &request.study {
             StudySpec::Estimate => {
                 let est = scenario.estimate(request.replications, self.threads);
-                Ok(ResponseBody::Estimate(EstimateResult {
-                    world,
-                    world_hash,
-                    root_seed: root,
-                    replications: request.replications,
-                    system_pfd: wire(&est.system_pfd),
-                    version_a_pfd: wire(&est.version_a_pfd),
-                    version_b_pfd: wire(&est.version_b_pfd),
-                }))
+                let tail = [
+                    ("system_pfd", pfd(&est.system_pfd)),
+                    ("version_a_pfd", pfd(&est.version_a_pfd)),
+                    ("version_b_pfd", pfd(&est.version_b_pfd)),
+                ];
+                Ok(result("estimate", head.into_iter().chain(tail)))
             }
             StudySpec::Growth { checkpoints } => {
                 let curve = scenario.growth(checkpoints, request.replications, self.threads)?;
-                let series = |accs: &[diversim_stats::online::MeanVar]| {
-                    accs.iter()
-                        .map(|acc| WireEstimate {
-                            mean: acc.mean(),
-                            se: acc.standard_error(),
-                        })
-                        .collect()
+                let series = |accs: &[MeanVar]| {
+                    let points = accs.iter().map(|a| mean_se(a.mean(), a.standard_error()));
+                    Value::Array(points.collect())
                 };
-                Ok(ResponseBody::Growth(GrowthResult {
-                    world,
-                    world_hash,
-                    root_seed: root,
-                    replications: request.replications,
-                    checkpoints: curve.checkpoints.clone(),
-                    system: series(&curve.system),
-                    version_a: series(&curve.version_a),
-                    version_b: series(&curve.version_b),
-                }))
+                let efforts = curve.checkpoints.iter().map(|&c| Value::Number(c as f64));
+                let tail = [
+                    ("checkpoints", Value::Array(efforts.collect())),
+                    ("system", series(&curve.system)),
+                    ("version_a", series(&curve.version_a)),
+                    ("version_b", series(&curve.version_b)),
+                ];
+                Ok(result("growth", head.into_iter().chain(tail)))
             }
         }
     }
 }
 
-fn wire(estimate: &Estimate) -> WireEstimate {
-    WireEstimate {
-        mean: estimate.mean,
-        se: estimate.standard_error,
-    }
+/// A `result` object: `kind` first, then `members` in wire order.
+fn result(kind: &str, members: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
+    let members = members.into_iter();
+    let mut object = Vec::with_capacity(1 + members.size_hint().0);
+    object.push(("kind".to_string(), Value::String(kind.to_string())));
+    object.extend(members.map(|(key, value)| (key.to_string(), value)));
+    Value::Object(object)
+}
+
+/// One estimated quantity on the wire: `{"mean","se"}`.
+fn mean_se(mean: f64, se: f64) -> Value {
+    Value::Object(vec![
+        ("mean".into(), Value::Number(mean)),
+        ("se".into(), Value::Number(se)),
+    ])
 }
 
 /// Best-effort `id` extraction from a line that failed request

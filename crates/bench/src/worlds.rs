@@ -5,7 +5,8 @@
 //! The world *type* is `sim`'s canonical [`World`] (re-exported here);
 //! this module only keeps the named fixtures. Labels are derived from
 //! the world parameters by [`World`] itself, so they can never drift
-//! from the actual workload.
+//! from the actual workload. [`FIXTURES`] names the ones `diversim
+//! serve` builds on request.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,6 +18,27 @@ use diversim_universe::population::BernoulliPopulation;
 use diversim_universe::profile::UsageProfile;
 
 pub use diversim_sim::world::World;
+
+/// A fixture's builder, as [`FIXTURES`] lists it.
+pub type Fixture = fn() -> World;
+
+/// The fixtures a serve request can name, in wire spelling, each with
+/// its builder. The serve layer checks a name here and builds from here.
+pub const FIXTURES: [(&str, Fixture); 5] = [
+    ("small-graded", small_graded),
+    ("mirrored", || mirrored(0.5, 0.05)),
+    ("negative-coupling", negative_coupling),
+    ("medium-cascade", || medium_cascade(1)),
+    ("large", || large(2)),
+];
+
+/// The builder of the fixture called `name`, without building it.
+pub fn fixture(name: &str) -> Option<Fixture> {
+    FIXTURES
+        .iter()
+        .find(|&&(fixture, _)| fixture == name)
+        .map(|&(_, build)| build)
+}
 
 /// The canonical small exact world: 6 demands, singleton faults, graded
 /// difficulty 0.02–0.6, uniform usage. Fully enumerable.
@@ -179,6 +201,15 @@ mod tests {
             assert_eq!(world.pop_b.model().space(), world.profile.space());
             assert!(!world.label().is_empty());
         }
+    }
+
+    #[test]
+    fn each_fixture_name_builds_its_world() {
+        for (name, _) in FIXTURES {
+            let world = fixture(name).expect("listed")();
+            assert!(world.label().starts_with(name), "{name}: {}", world.label());
+        }
+        assert!(fixture("nope").is_none());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use diversim_bench::serve::request::{
     SystemSpec, WorldSpec,
 };
 use diversim_bench::spec::Profile;
+use diversim_bench::worlds::small_graded;
 use diversim_sim::policy::PolicySpec;
 use diversim_testing::oracle::IdenticalFailureModel;
 
@@ -121,7 +122,7 @@ fn world_spec() -> BoxedStrategy<WorldSpec> {
             .boxed(),
         (0usize..5)
             .prop_map(|i| WorldSpec::Fixture {
-                name: diversim_bench::serve::request::FIXTURES[i].to_string(),
+                name: diversim_bench::worlds::FIXTURES[i].0.to_string(),
             })
             .boxed(),
         (1usize..200, 1usize..32, 1usize..5, 0.0f64..2.0, 0u64..1000)
@@ -286,5 +287,61 @@ proptest! {
             prop_assert_eq!(&reparsed.id, &req.id);
             prop_assert_eq!(&reparsed.kind, &req.kind);
         }
+    }
+}
+
+/// A regime parameter across and beyond its valid range, with the
+/// range ends themselves drawn often.
+fn regime_parameter() -> BoxedStrategy<f64> {
+    prop_oneof![
+        (-2.0f64..=3.0).boxed(),
+        Just(0.0).boxed(),
+        Just(-0.0).boxed(),
+        Just(1.0).boxed(),
+    ]
+    .boxed()
+}
+
+proptest! {
+    /// The wire refuses a back-to-back γ, an ε-greedy ε or a UCB c
+    /// exactly when the domain's scenario would.
+    #[test]
+    fn wire_and_domain_agree_on_regime_parameters(
+        which in 0usize..3,
+        value in regime_parameter(),
+    ) {
+        let spec = match which {
+            0 => RegimeSpec::BackToBack {
+                model: IdenticalFailureModel::Bernoulli(value),
+            },
+            1 => RegimeSpec::Adaptive {
+                policy: PolicySpec::EpsilonGreedy { epsilon: value },
+            },
+            _ => RegimeSpec::Adaptive {
+                policy: PolicySpec::UcbIndex { c: value },
+            },
+        };
+        let line = format!(
+            concat!(
+                r#"{{"api":"diversim/v1","kind":"evaluate","#,
+                r#""world":{{"kind":"fixture","name":"small-graded"}},"#,
+                r#""regime":{},"replications":1}}"#
+            ),
+            spec.to_value().to_json()
+        );
+        let wire = EvaluationRequest::parse(&line);
+        let domain = small_graded()
+            .scenario()
+            .build()
+            .expect("a valid fixture")
+            .with_regime(spec.to_regime());
+        prop_assert_eq!(
+            wire.is_ok(),
+            domain.is_ok(),
+            "{} → wire {:?}, domain {:?}",
+            line,
+            wire.err(),
+            domain.err()
+        );
     }
 }

@@ -2,18 +2,20 @@
 //! bytes are a pure function of the request line — independent of the
 //! worker thread count, of how many clients interleave on the socket,
 //! and of the world cache's capacity (and therefore its hit/miss/evict
-//! history).
+//! history). A committed request set pins the response bytes
+//! themselves.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use diversim_bench::serve::request::{
     EvaluateRequest, EvaluationRequest, EvaluationResponse, RegimeSpec, RequestKind, StudySpec,
     WorldSpec,
 };
-use diversim_bench::serve::server::spawn_tcp;
+use diversim_bench::serve::server::{serve_lines, spawn_tcp};
 use diversim_bench::serve::EvaluationService;
 use diversim_testing::oracle::IdenticalFailureModel;
 
@@ -216,4 +218,49 @@ fn the_mix_is_valid_wire_and_varies_its_cold_worlds() {
         _ => unreachable!("the mix holds evaluate requests only"),
     };
     assert_ne!(world(2), world(5));
+}
+
+/// The committed request set `tests/golden/serve_requests.ndjson`
+/// gets exactly the committed `serve_responses.ndjson` bytes. The set
+/// covers four worlds (two fixtures, an inline singleton and a
+/// generated universe) under all nine regimes, each as a pair estimate
+/// and as and-2 and or-2 systems; growth curves under the five static
+/// regimes; 2-of-3 and nested structures; refusals of every kind; an
+/// experiment run, pings, protocol errors, a blank line, a CRLF line
+/// and the bytes `FF FE`. CI feeds the same file to the release binary.
+///
+/// To re-bless after an intentional wire change:
+/// `DIVERSIM_UPDATE_GOLDEN=1 cargo test -p diversim-bench --test serve_determinism golden`
+#[test]
+fn golden_request_set_gets_the_blessed_response_bytes() {
+    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"));
+    let requests = std::fs::read(dir.join("serve_requests.ndjson")).expect("request set");
+    let mut output = Vec::new();
+    serve_lines(
+        &EvaluationService::new(2, 4),
+        requests.as_slice(),
+        &mut output,
+    )
+    .expect("in-memory streams");
+    let path = dir.join("serve_responses.ndjson");
+    if std::env::var_os("DIVERSIM_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &output).expect("bless golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} missing ({e}); bless with DIVERSIM_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    let output = String::from_utf8(output).expect("responses are UTF-8");
+    for (i, (got, want)) in output.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "response line {} drifted", i + 1);
+    }
+    assert!(
+        output == golden,
+        "{} response lines where the golden has {}",
+        output.lines().count(),
+        golden.lines().count()
+    );
 }

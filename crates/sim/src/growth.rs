@@ -323,7 +323,7 @@ mod tests {
         ] {
             let s = scenario(8, 0.5, regime, 0);
             for n in [1, 4, 9] {
-                let campaign = s.with_suite_size(n);
+                let campaign = s.with_suite_size(n).unwrap();
                 for seed in 0..10 {
                     let growth = s.growth_sample(&[n], seed).unwrap();
                     let out = campaign.run(seed);

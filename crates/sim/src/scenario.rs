@@ -12,7 +12,8 @@
 //!   range and that the system can run under) returns a typed
 //!   [`ScenarioError`] instead of panicking mid-campaign;
 //!   [`Scenario::with_regime`] and [`Scenario::with_structure`] re-run
-//!   the regime check, so every [`Scenario`] is valid;
+//!   the regime check and [`Scenario::with_suite_size`] the suite-size
+//!   cap, so every [`Scenario`] is valid;
 //! * the scenario owns a per-world [`Prepared`] cache (demand marginals,
 //!   fault-region usage masses, disjoint-region fast path) built once and
 //!   reused by every replication on every thread;
@@ -523,12 +524,7 @@ impl ScenarioBuilder {
             }
             None => Arc::new(ProfileGenerator::new(profile.clone())) as Arc<dyn SuiteGenerator>,
         };
-        if self.suite_size > MAX_SUITE_SIZE {
-            return Err(ScenarioError::SuiteTooLarge {
-                size: self.suite_size,
-                limit: MAX_SUITE_SIZE,
-            });
-        }
+        check_suite_size(self.suite_size)?;
         check_regime(self.regime, self.system.as_ref())?;
         let prepared = Arc::new(Prepared::new(Arc::clone(pop_a.model()), profile));
         Ok(Scenario {
@@ -691,18 +687,15 @@ impl Scenario {
 
     /// The same scenario with a different suite size.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `suite_size` exceeds [`MAX_SUITE_SIZE`] (the builder
-    /// reports the same condition as a typed error).
-    pub fn with_suite_size(&self, suite_size: usize) -> Self {
-        assert!(
-            suite_size <= MAX_SUITE_SIZE,
-            "suite size {suite_size} exceeds the sanity cap {MAX_SUITE_SIZE}"
-        );
+    /// [`ScenarioError::SuiteTooLarge`] if `suite_size` exceeds
+    /// [`MAX_SUITE_SIZE`], as from [`ScenarioBuilder::build`].
+    pub fn with_suite_size(&self, suite_size: usize) -> Result<Self, ScenarioError> {
+        check_suite_size(suite_size)?;
         let mut s = self.clone();
         s.suite_size = suite_size;
-        s
+        Ok(s)
     }
 
     /// The same scenario with a different seed policy.
@@ -817,9 +810,11 @@ impl Scenario {
     /// # Errors
     ///
     /// [`ScenarioError::InvalidCheckpoints`] if `checkpoints` is empty or
-    /// not strictly increasing; [`ScenarioError::StaticRegimeRequired`]
-    /// under an adaptive regime (growth trajectories replay fixed demand
-    /// streams, which adaptive allocation has no notion of).
+    /// not strictly increasing; [`ScenarioError::SuiteTooLarge`] if the
+    /// last checkpoint exceeds [`MAX_SUITE_SIZE`];
+    /// [`ScenarioError::StaticRegimeRequired`] under an adaptive regime
+    /// (growth trajectories replay fixed demand streams, which adaptive
+    /// allocation has no notion of).
     pub fn growth_sample(
         &self,
         checkpoints: &[usize],
@@ -836,7 +831,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::InvalidCheckpoints`] and
+    /// [`ScenarioError::InvalidCheckpoints`],
+    /// [`ScenarioError::SuiteTooLarge`] and
     /// [`ScenarioError::StaticRegimeRequired`] as for
     /// [`Scenario::growth_sample`].
     ///
@@ -1020,18 +1016,33 @@ fn check_regime(regime: CampaignRegime, system: Option<&SystemSpec>) -> Result<(
     system.map_or(Ok(()), |spec| spec.require_regime(regime))
 }
 
+/// The suite-size cap, run by [`ScenarioBuilder::build`],
+/// [`Scenario::with_suite_size`] and the growth studies' checkpoint check.
+fn check_suite_size(size: usize) -> Result<(), ScenarioError> {
+    if size > MAX_SUITE_SIZE {
+        return Err(ScenarioError::SuiteTooLarge {
+            size,
+            limit: MAX_SUITE_SIZE,
+        });
+    }
+    Ok(())
+}
+
+/// A growth study's checkpoints: non-empty, strictly increasing, and
+/// the last one (the demands the trajectory debugs on) within the
+/// suite-size cap.
 fn validate_checkpoints(checkpoints: &[usize]) -> Result<(), ScenarioError> {
-    if checkpoints.is_empty() {
+    let Some(&last) = checkpoints.last() else {
         return Err(ScenarioError::InvalidCheckpoints {
             reason: "need at least one checkpoint",
         });
-    }
+    };
     if !checkpoints.windows(2).all(|w| w[0] < w[1]) {
         return Err(ScenarioError::InvalidCheckpoints {
             reason: "checkpoints must be strictly increasing",
         });
     }
-    Ok(())
+    check_suite_size(last)
 }
 
 #[cfg(test)]
@@ -1130,6 +1141,31 @@ mod tests {
                 size: MAX_SUITE_SIZE + 1,
                 limit: MAX_SUITE_SIZE
             }
+        );
+    }
+
+    #[test]
+    fn every_suite_size_is_capped_with_a_typed_error() {
+        let s = world().scenario().suite_size(2).build().unwrap();
+        let too_large = ScenarioError::SuiteTooLarge {
+            size: MAX_SUITE_SIZE + 1,
+            limit: MAX_SUITE_SIZE,
+        };
+        assert_eq!(
+            s.with_suite_size(MAX_SUITE_SIZE + 1).unwrap_err(),
+            too_large
+        );
+        assert_eq!(
+            s.with_suite_size(MAX_SUITE_SIZE).unwrap().suite_size(),
+            MAX_SUITE_SIZE
+        );
+        assert_eq!(
+            s.growth(&[0, MAX_SUITE_SIZE + 1], 1, 1).unwrap_err(),
+            too_large
+        );
+        assert_eq!(
+            s.growth_sample(&[MAX_SUITE_SIZE + 1], 0).unwrap_err(),
+            too_large
         );
     }
 
@@ -1260,6 +1296,7 @@ mod tests {
         let s = world().scenario().suite_size(2).seed(1).build().unwrap();
         let varied = s
             .with_suite_size(5)
+            .unwrap()
             .with_seed(9)
             .with_regime(CampaignRegime::IndependentSuites)
             .unwrap();
