@@ -106,7 +106,7 @@ fn bench_system_campaigns(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                black_box(scenario.system_run(seed).expect("valid system"))
+                black_box(scenario.system_run(seed))
             })
         });
     }

@@ -26,7 +26,6 @@ use diversim_core::structure::{gate_moments, structure_pfd, Structure};
 use diversim_core::testing_effect::TestingRegime;
 use diversim_exact::verify::verify_structure;
 use diversim_sim::campaign::CampaignRegime;
-use diversim_sim::system::SystemSpec;
 use diversim_testing::suite_population::enumerate_iid_suites;
 use diversim_universe::population::Population;
 
@@ -295,18 +294,17 @@ fn run(ctx: &mut RunContext) {
                         (0..n).map(|_| &w.pop_a as &dyn TestedDifficulty).collect();
                     let exact = structure_pfd(&structure, &pops, &m, &w.profile, core_regime)
                         .expect("valid structure");
-                    let spec = SystemSpec::homogeneous(structure.clone(), w.pop_a.clone())
-                        .expect("valid system");
+                    // small-graded's A and B are one population, so the
+                    // alternating components all draw from it.
                     let est = w
                         .scenario()
-                        .system(spec)
+                        .structure(structure.clone())
                         .suite_size(SUITE)
                         .regime(regime)
                         .seed(1900)
                         .build()
                         .expect("valid scenario")
-                        .system_estimate(replications, scope.threads())
-                        .expect("suite regime");
+                        .system_estimate(replications, scope.threads());
                     vec![exact, est.system_pfd.mean, est.system_pfd.standard_error]
                 },
             );

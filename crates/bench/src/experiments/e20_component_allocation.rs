@@ -23,8 +23,6 @@
 //!   for 1-out-of-2 scoring, and the mismatch shows;
 //! * more budget helps under both wirings.
 
-use std::sync::Arc;
-
 use crate::report::Table;
 use crate::spec::{ExperimentSpec, FigureSpec, RunContext, SeriesSpec};
 use crate::worlds::{asymmetric, World};
@@ -32,7 +30,6 @@ use diversim_core::structure::Structure;
 use diversim_sim::campaign::CampaignRegime;
 use diversim_sim::policy::PolicySpec;
 use diversim_sim::scenario::Scenario;
-use diversim_sim::system::SystemSpec;
 
 /// The shipped policies, keyed by their stable `Display` labels.
 const POLICIES: [PolicySpec; 4] = [
@@ -120,13 +117,8 @@ fn system_scenario(
     regime: CampaignRegime,
     suite: usize,
 ) -> Scenario {
-    let spec = SystemSpec::new(
-        structure.clone(),
-        vec![Arc::new(w.pop_a.clone()), Arc::new(w.pop_b.clone())],
-    )
-    .expect("valid system");
     w.scenario()
-        .system(spec)
+        .structure(structure.clone())
         .suite_size(suite)
         .regime(regime)
         .seed(2000)
@@ -160,8 +152,7 @@ fn run(ctx: &mut RunContext) {
                 ),
                 |scope| {
                     let est = system_scenario(&w, &structure, regime, SUITE)
-                        .system_estimate(replications, scope.threads())
-                        .expect("suite regime");
+                        .system_estimate(replications, scope.threads());
                     vec![est.system_pfd.mean, est.system_pfd.standard_error]
                 },
             )
@@ -215,9 +206,7 @@ fn run(ctx: &mut RunContext) {
                         2 * SUITE,
                     )
                     .with_seed(seed);
-                    let est = scenario
-                        .system_estimate(replications, scope.threads())
-                        .expect("two-component system");
+                    let est = scenario.system_estimate(replications, scope.threads());
                     let study = scenario
                         .policy_study(replications, scope.threads())
                         .expect("adaptive scenario");
@@ -290,8 +279,7 @@ fn run(ctx: &mut RunContext) {
                         CampaignRegime::Adaptive(PolicySpec::GreedyOnFailures),
                         budget,
                     )
-                    .system_estimate(replications, scope.threads())
-                    .expect("two-component system");
+                    .system_estimate(replications, scope.threads());
                     vec![est.system_pfd.mean, est.system_pfd.standard_error]
                 },
             );

@@ -62,8 +62,9 @@
 use diversim_core::structure::Structure;
 use diversim_sim::campaign::CampaignRegime;
 use diversim_sim::policy::PolicySpec;
-use diversim_sim::scenario::MAX_SUITE_SIZE;
+use diversim_sim::scenario::{check_suite_size, validate_checkpoints, ScenarioError};
 use diversim_testing::oracle::IdenticalFailureModel;
+use diversim_universe::generator::PropensityKind;
 
 use crate::hashing::fnv1a64;
 use crate::json::{self, Value};
@@ -227,12 +228,11 @@ impl WorldSpec {
                         message: format!("must be in [0, 8], got {zipf}"),
                     });
                 }
-                if !prop_lo.is_finite()
-                    || !prop_hi.is_finite()
-                    || !(0.0..=1.0).contains(prop_lo)
-                    || !(0.0..=1.0).contains(prop_hi)
-                    || prop_lo > prop_hi
-                {
+                let propensity = PropensityKind::Uniform {
+                    lo: *prop_lo,
+                    hi: *prop_hi,
+                };
+                if propensity.validate().is_err() {
                     return Err(ServeError::InvalidField {
                         field: "world.prop_lo",
                         message: format!(
@@ -516,28 +516,29 @@ pub enum StudySpec {
 }
 
 impl StudySpec {
+    /// The wire's own cap on the checkpoint count, then the domain's
+    /// checkpoint rules ([`validate_checkpoints`]), reported under
+    /// `study.checkpoints`.
     fn validate(&self) -> Result<(), ServeError> {
-        if let StudySpec::Growth { checkpoints } = self {
-            if checkpoints.is_empty() || checkpoints.len() > 256 {
-                return Err(ServeError::InvalidField {
-                    field: "study.checkpoints",
-                    message: format!("need 1..=256 checkpoints, got {}", checkpoints.len()),
-                });
-            }
-            if !checkpoints.windows(2).all(|w| w[0] < w[1]) {
-                return Err(ServeError::InvalidField {
-                    field: "study.checkpoints",
-                    message: "checkpoints must be strictly increasing".into(),
-                });
-            }
-            if *checkpoints.last().expect("non-empty") > MAX_SUITE_SIZE {
-                return Err(ServeError::InvalidField {
-                    field: "study.checkpoints",
-                    message: format!("checkpoints must not exceed {MAX_SUITE_SIZE}"),
-                });
-            }
+        let StudySpec::Growth { checkpoints } = self else {
+            return Ok(());
+        };
+        if checkpoints.is_empty() || checkpoints.len() > 256 {
+            return Err(ServeError::InvalidField {
+                field: "study.checkpoints",
+                message: format!("need 1..=256 checkpoints, got {}", checkpoints.len()),
+            });
         }
-        Ok(())
+        validate_checkpoints(checkpoints).map_err(|err| ServeError::InvalidField {
+            field: "study.checkpoints",
+            message: match err {
+                ScenarioError::InvalidCheckpoints { reason } => reason.into(),
+                ScenarioError::SuiteTooLarge { limit, .. } => {
+                    format!("checkpoints must not exceed {limit}")
+                }
+                other => other.to_string(),
+            },
+        })
     }
 
     /// The strict wire rendering of this study.
@@ -777,10 +778,10 @@ impl EvaluateRequest {
                 });
             }
         }
-        if self.suite_size > MAX_SUITE_SIZE {
+        if let Err(ScenarioError::SuiteTooLarge { limit, .. }) = check_suite_size(self.suite_size) {
             return Err(ServeError::InvalidField {
                 field: "suite_size",
-                message: format!("exceeds the sanity cap {MAX_SUITE_SIZE}"),
+                message: format!("exceeds the sanity cap {limit}"),
             });
         }
         if self.replications == 0 || self.replications > MAX_REPLICATIONS {

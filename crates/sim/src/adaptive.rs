@@ -55,7 +55,7 @@ pub(crate) fn adaptive_campaign(
     let model = prepared.model();
     let profile = prepared.profile();
     let (oracle, fixer) = (scenario.oracle(), scenario.fixer());
-    let mut version = scenario.pop_a().sample(&mut rng);
+    let mut version = scenario.component(0).sample(&mut rng);
     let mut state = StoppingState::new(rule);
     let mut stopped_by_rule = false;
     while state.demands() < max_demands {

@@ -119,7 +119,7 @@ pub(crate) fn debug_in_regime(
 /// Draws a campaign's pair from the start of its `rng` stream:
 /// `Π_A ~ S_A`, then `Π_B ~ S_B`.
 fn draw_pair(scenario: &Scenario, rng: &mut StdRng) -> [Version; 2] {
-    [scenario.pop_a().sample(rng), scenario.pop_b().sample(rng)]
+    [0, 1].map(|i| scenario.component(i).sample(rng))
 }
 
 /// Runs one campaign of `scenario` (the body behind

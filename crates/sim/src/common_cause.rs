@@ -69,8 +69,8 @@ pub(crate) fn mistake_study(
         scenario.reduce(replications, threads, &reducer, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let fault_count = prepared.model().fault_count();
-            let mut a = scenario.pop_a().sample(&mut rng);
-            let mut b = scenario.pop_b().sample(&mut rng);
+            let mut a = scenario.component(0).sample(&mut rng);
+            let mut b = scenario.component(1).sample(&mut rng);
             let before = prepared.pair_pfd(&a, &b);
             match mode {
                 MistakeMode::Common => {
@@ -124,8 +124,8 @@ pub(crate) fn clarification_study(
         scenario.reduce(replications, threads, &reducer, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let model = prepared.model();
-            let mut a = scenario.pop_a().sample(&mut rng);
-            let mut b = scenario.pop_b().sample(&mut rng);
+            let mut a = scenario.component(0).sample(&mut rng);
+            let mut b = scenario.component(1).sample(&mut rng);
             let faults = draw_faults(&mut rng, model.fault_count(), clarified);
             let ev = CommonCauseEvent::Clarification { faults };
             ev.apply(&mut a);

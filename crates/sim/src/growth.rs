@@ -88,8 +88,8 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
     let prepared = scenario.prepared();
     let model = prepared.model();
     let regime = scenario.regime();
-    let mut va = scenario.pop_a().sample(&mut rng);
-    let mut vb = scenario.pop_b().sample(&mut rng);
+    let mut va = scenario.component(0).sample(&mut rng);
+    let mut vb = scenario.component(1).sample(&mut rng);
     let total = *checkpoints.last().expect("validated non-empty");
 
     // Draw the demand streams up front (suites of the total length).
@@ -216,8 +216,8 @@ pub(crate) fn merged_comparison(scenario: &Scenario, n: usize, seed: u64) -> Mer
     let mut rng = StdRng::seed_from_u64(seed);
     let prepared = scenario.prepared();
     let model = prepared.model();
-    let va = scenario.pop_a().sample(&mut rng);
-    let vb = scenario.pop_b().sample(&mut rng);
+    let va = scenario.component(0).sample(&mut rng);
+    let vb = scenario.component(1).sample(&mut rng);
     let t1 = scenario.generator().generate(&mut rng, n);
     let t2 = scenario.generator().generate(&mut rng, n);
     let merged: TestSuite = t1.merged(&t2);

@@ -7,8 +7,8 @@
 //! oracles and fixers — and aggregates replications.
 //!
 //! The entry point is the [`scenario`] module: a [`scenario::Scenario`]
-//! is one validated instance of the paper's process (world + regime +
-//! oracle + fixer + suite size + seed policy), built by a
+//! is one validated instance of the paper's process (world, structure,
+//! regime, oracle, fixer, suite size and seed policy), built by a
 //! [`scenario::ScenarioBuilder`] and carrying a per-world precomputation
 //! cache ([`prepared`]) reused by every replication. Studies are scenario
 //! methods:
@@ -25,9 +25,10 @@
 //!   allocation across the pair under a [`policy::PolicySpec`]
 //!   ([`policy`]);
 //! * [`scenario::Scenario::system_run`] /
-//!   [`scenario::Scenario::system_estimate`] — structure-function
-//!   systems (AND/OR/k-out-of-n fault trees) over many component
-//!   populations ([`system`]);
+//!   [`scenario::Scenario::system_estimate`] — the scenario's
+//!   structure function (an AND/OR/k-out-of-n fault tree, the paper's
+//!   1-out-of-2 pair by default) over components drawn alternately from
+//!   the two methodologies ([`system`]);
 //! * [`scenario::Scenario::operate`] / [`scenario::Scenario::coverage`] —
 //!   operational exposure and assessment ([`operation`]);
 //! * [`scenario::Scenario::mistakes`] /

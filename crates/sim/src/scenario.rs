@@ -1,19 +1,23 @@
 //! The typed, precomputing entry point of the simulation engine.
 //!
 //! A [`Scenario`] is one fully specified instance of the paper's
-//! stochastic process: draw versions from `S_A`/`S_B`, draw suites from
-//! `M(·)`, debug under a [`CampaignRegime`], evaluate exactly over the
-//! demand space. It replaces the crate's former family of 8–10-argument
-//! free functions with one validated value, built by a
-//! [`ScenarioBuilder`]:
+//! stochastic process: draw versions from `S_A`/`S_B`, draw suites
+//! i.i.d. from the operational profile, debug under a
+//! [`CampaignRegime`], evaluate exactly over the demand space. It
+//! replaces the crate's former family of 8–10-argument free functions
+//! with one validated value, built by a [`ScenarioBuilder`]:
 //!
 //! * construction-time cross-validation (shared demand space, matching
-//!   fault models, sane suite sizes, a regime whose parameters are in
-//!   range and that the system can run under) returns a typed
-//!   [`ScenarioError`] instead of panicking mid-campaign;
-//!   [`Scenario::with_regime`] and [`Scenario::with_structure`] re-run
-//!   the regime check and [`Scenario::with_suite_size`] the suite-size
-//!   cap, so every [`Scenario`] is valid;
+//!   fault models, sane suite sizes, a well-formed structure, a regime
+//!   whose parameters are in range and that the structure can run
+//!   under) returns a typed [`ScenarioError`] instead of panicking
+//!   mid-campaign; [`Scenario::with_regime`] and
+//!   [`Scenario::with_structure`] re-run the structure and regime checks
+//!   and [`Scenario::with_suite_size`] the suite-size cap, so every
+//!   [`Scenario`] is valid;
+//! * the system studies score one [`Structure`] (the paper's pair by
+//!   default) over components drawn alternately from `S_A` and `S_B`
+//!   ([`crate::system`]);
 //! * the scenario owns a per-world [`Prepared`] cache (demand marginals,
 //!   fault-region usage masses, disjoint-region fast path) built once and
 //!   reused by every replication on every thread;
@@ -52,6 +56,7 @@
 
 use std::sync::Arc;
 
+use diversim_core::error::CoreError;
 use diversim_core::structure::Structure;
 use diversim_stats::seed::SeedSequence;
 use diversim_stats::stopping::StoppingRule;
@@ -72,7 +77,7 @@ use crate::growth::{GrowthCurve, GrowthSample, MergedComparison, MergedEstimates
 use crate::operation::{CoverageStudy, OperationLog};
 use crate::policy::{PolicyStudy, PolicyTrace};
 use crate::prepared::Prepared;
-use crate::system::{SystemEstimates, SystemOutcome, SystemSpec};
+use crate::system::{SystemEstimates, SystemOutcome};
 use crate::world::World;
 
 /// Largest accepted suite size — far above any statistically sensible
@@ -177,7 +182,7 @@ pub enum ScenarioError {
     ModelMismatch,
     /// A component disagrees with the populations' demand space.
     SpaceMismatch {
-        /// Which component (`"profile"`, `"generator"`).
+        /// Which component (`"profile"`).
         what: &'static str,
         /// The populations' demand-space size.
         expected: usize,
@@ -223,16 +228,15 @@ pub enum ScenarioError {
         /// Which study (`"growth"`).
         what: &'static str,
     },
-    /// A [`crate::system::SystemSpec`]'s structure function is malformed:
-    /// an empty gate, a `k` outside `1..=n`, or a component index with no
-    /// matching population.
+    /// The scenario's structure function is malformed: an empty gate, a
+    /// `k` outside `1..=n`, or a tree with no components.
     InvalidStructure {
         /// What is wrong with it.
         reason: &'static str,
     },
     /// A regime with pair-only semantics (back-to-back comparison,
-    /// adaptive budget allocation) was applied to a system that does not
-    /// have exactly two components.
+    /// adaptive budget allocation) was applied to a structure that does
+    /// not have exactly two components.
     PairRegimeRequired {
         /// Which regime (`"back-to-back"`, `"adaptive"`).
         regime: &'static str,
@@ -298,11 +302,12 @@ impl std::error::Error for ScenarioError {}
 /// Assembles a validated [`Scenario`]; see the [module docs](self).
 ///
 /// Required: a population (or pair) and an operational profile. Everything
-/// else defaults: suite generation draws i.i.d. from the operational
-/// profile ([`ProfileGenerator`]), the oracle and fixer are perfect
+/// else defaults: the structure is the paper's 1-out-of-2 pair
+/// ([`Structure::one_out_of_n`]`(2)`), the oracle and fixer are perfect
 /// ([`PerfectOracle`] / [`PerfectFixer`]), the regime is
 /// [`CampaignRegime::SharedSuite`], the suite is empty and the seed policy
-/// is [`SeedPolicy::Sequence`]`(0)`.
+/// is [`SeedPolicy::Sequence`]`(0)`. Suites are always drawn i.i.d. from
+/// the operational profile ([`ProfileGenerator`]).
 ///
 /// # Examples
 ///
@@ -342,9 +347,8 @@ impl std::error::Error for ScenarioError {}
 pub struct ScenarioBuilder {
     pop_a: Option<Arc<dyn Population>>,
     pop_b: Option<Arc<dyn Population>>,
-    system: Option<SystemSpec>,
     profile: Option<UsageProfile>,
-    generator: Option<Arc<dyn SuiteGenerator>>,
+    structure: Structure,
     oracle: Arc<dyn Oracle>,
     fixer: Arc<dyn Fixer>,
     regime: CampaignRegime,
@@ -364,9 +368,8 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             pop_a: None,
             pop_b: None,
-            system: None,
             profile: None,
-            generator: None,
+            structure: Structure::one_out_of_n(2),
             oracle: Arc::new(PerfectOracle::new()),
             fixer: Arc::new(PerfectFixer::new()),
             regime: CampaignRegime::SharedSuite,
@@ -394,37 +397,25 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Composes the versions of several component populations under a
-    /// structure function (see [`crate::system`]). The spec's first two
-    /// component populations become the scenario's pair populations, so
-    /// every pair study keeps working; system studies
-    /// ([`Scenario::system_run`], [`Scenario::system_estimate`]) use the
-    /// full component list.
-    pub fn system(mut self, spec: SystemSpec) -> Self {
-        self.system = Some(spec);
+    /// The structure function of the system studies (default: the
+    /// paper's pair, [`Structure::one_out_of_n`]`(2)`); see [`crate::system`].
+    pub fn structure(mut self, structure: Structure) -> Self {
+        self.structure = structure;
         self
     }
 
-    /// Loads a [`World`]'s populations, profile and generator in one call.
+    /// Loads a [`World`]'s populations and profile in one call.
     pub fn world(mut self, world: &World) -> Self {
         self.pop_a = Some(Arc::new(world.pop_a.clone()));
         self.pop_b = Some(Arc::new(world.pop_b.clone()));
         self.profile = Some(world.profile.clone());
-        self.generator = Some(Arc::new(world.generator.clone()));
         self
     }
 
-    /// The operational profile `Q(·)` used for exact pfd evaluation (and,
-    /// unless a generator is supplied, for suite generation).
+    /// The operational profile `Q(·)`, used for exact pfd evaluation and
+    /// for suite generation.
     pub fn profile(mut self, profile: UsageProfile) -> Self {
         self.profile = Some(profile);
-        self
-    }
-
-    /// The suite-generation procedure `M(·)` (defaults to i.i.d. draws
-    /// from the operational profile via [`ProfileGenerator`]).
-    pub fn generator<G: SuiteGenerator + 'static>(mut self, generator: G) -> Self {
-        self.generator = Some(Arc::new(generator));
         self
     }
 
@@ -471,32 +462,20 @@ impl ScenarioBuilder {
     /// * [`ScenarioError::Missing`] — no population or no profile;
     /// * [`ScenarioError::ModelMismatch`] — the populations' fault models
     ///   differ;
-    /// * [`ScenarioError::SpaceMismatch`] — profile or generator cover a
+    /// * [`ScenarioError::SpaceMismatch`] — the profile covers a
     ///   different demand space than the populations;
     /// * [`ScenarioError::SuiteTooLarge`] — suite size above
     ///   [`MAX_SUITE_SIZE`];
+    /// * [`ScenarioError::InvalidStructure`] — a malformed structure;
     /// * [`ScenarioError::InvalidPolicy`] — an adaptive regime whose
     ///   policy parameters are out of range;
     /// * [`ScenarioError::InvalidGamma`] — a back-to-back regime whose γ
     ///   is outside `[0, 1]`;
     /// * [`ScenarioError::PairRegimeRequired`] — a back-to-back or
-    ///   adaptive regime on a system without exactly two components.
+    ///   adaptive regime on a structure without exactly two components.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        // A system spec defines the component populations; its first two
-        // become the scenario's pair so every pair study keeps working
-        // (a one-component system duplicates its only population).
-        let (pop_a, pop_b) = match &self.system {
-            Some(spec) => {
-                let pops = spec.populations();
-                (
-                    Some(Arc::clone(&pops[0])),
-                    Some(Arc::clone(&pops[1.min(pops.len() - 1)])),
-                )
-            }
-            None => (self.pop_a, self.pop_b),
-        };
-        let pop_a = pop_a.ok_or(ScenarioError::Missing { what: "population" })?;
-        let pop_b = pop_b.ok_or(ScenarioError::Missing { what: "population" })?;
+        let missing = ScenarioError::Missing { what: "population" };
+        let (pop_a, pop_b) = (self.pop_a.ok_or(missing)?, self.pop_b.ok_or(missing)?);
         if !Arc::ptr_eq(pop_a.model(), pop_b.model()) && pop_a.model() != pop_b.model() {
             return Err(ScenarioError::ModelMismatch);
         }
@@ -511,21 +490,10 @@ impl ScenarioBuilder {
                 found: profile.space().len(),
             });
         }
-        let generator = match self.generator {
-            Some(generator) => {
-                if generator.space() != space {
-                    return Err(ScenarioError::SpaceMismatch {
-                        what: "generator",
-                        expected: space.len(),
-                        found: generator.space().len(),
-                    });
-                }
-                generator
-            }
-            None => Arc::new(ProfileGenerator::new(profile.clone())) as Arc<dyn SuiteGenerator>,
-        };
         check_suite_size(self.suite_size)?;
-        check_regime(self.regime, self.system.as_ref())?;
+        check_structure(&self.structure)?;
+        check_regime(self.regime, &self.structure)?;
+        let generator = Arc::new(ProfileGenerator::new(profile.clone()));
         let prepared = Arc::new(Prepared::new(Arc::clone(pop_a.model()), profile));
         Ok(Scenario {
             pop_a,
@@ -536,7 +504,7 @@ impl ScenarioBuilder {
             regime: self.regime,
             suite_size: self.suite_size,
             seeds: self.seeds,
-            system: self.system.map(Arc::new),
+            structure: Arc::new(self.structure),
             prepared,
         })
     }
@@ -551,13 +519,13 @@ impl ScenarioBuilder {
 pub struct Scenario {
     pop_a: Arc<dyn Population>,
     pop_b: Arc<dyn Population>,
-    generator: Arc<dyn SuiteGenerator>,
+    generator: Arc<ProfileGenerator>,
     oracle: Arc<dyn Oracle>,
     fixer: Arc<dyn Fixer>,
     regime: CampaignRegime,
     suite_size: usize,
     seeds: SeedPolicy,
-    system: Option<Arc<SystemSpec>>,
+    structure: Arc<Structure>,
     prepared: Arc<Prepared>,
 }
 
@@ -594,18 +562,15 @@ impl Scenario {
         self.prepared.model()
     }
 
-    /// The structure-function system this scenario composes, if one was
-    /// supplied via [`ScenarioBuilder::system`].
-    pub fn system_spec(&self) -> Option<&SystemSpec> {
-        self.system.as_deref()
+    /// The structure function of the system studies.
+    pub fn structure(&self) -> &Structure {
+        &self.structure
     }
 
-    pub(crate) fn pop_a(&self) -> &dyn Population {
-        self.pop_a.as_ref()
-    }
-
-    pub(crate) fn pop_b(&self) -> &dyn Population {
-        self.pop_b.as_ref()
+    /// The methodology component `i` draws from: A when `i` is even, B
+    /// when it is odd, so the pair is components 0 and 1.
+    pub(crate) fn component(&self, i: usize) -> &dyn Population {
+        [&self.pop_a, &self.pop_b][i % 2].as_ref()
     }
 
     pub(crate) fn generator(&self) -> &dyn SuiteGenerator {
@@ -679,7 +644,7 @@ impl Scenario {
     /// [`ScenarioError::InvalidPolicy`], [`ScenarioError::InvalidGamma`]
     /// and [`ScenarioError::PairRegimeRequired`].
     pub fn with_regime(&self, regime: CampaignRegime) -> Result<Self, ScenarioError> {
-        check_regime(regime, self.system.as_deref())?;
+        check_regime(regime, &self.structure)?;
         let mut s = self.clone();
         s.regime = regime;
         Ok(s)
@@ -725,32 +690,22 @@ impl Scenario {
         s
     }
 
-    /// The same scenario scored by `structure` over components drawn
-    /// alternately from the A and B development processes (even
-    /// component indices sample the A population, odd indices the B
-    /// population), so a two-component structure reproduces the
-    /// classic A/B pair exactly.
+    /// The same scenario scored by `structure` (see
+    /// [`ScenarioBuilder::structure`]): even components draw from the A
+    /// population and odd ones from the B population, so a
+    /// two-component structure reproduces the classic A/B pair exactly.
     ///
     /// # Errors
     ///
-    /// The [`SystemSpec::new`] validation errors for malformed
-    /// structures, [`ScenarioError::PairRegimeRequired`] if the active
-    /// regime is back-to-back or adaptive and the structure does not
-    /// have exactly two components.
+    /// [`ScenarioError::InvalidStructure`] for a malformed structure;
+    /// [`ScenarioError::PairRegimeRequired`] if the active regime is
+    /// back-to-back or adaptive and the structure does not have exactly
+    /// two components.
     pub fn with_structure(&self, structure: Structure) -> Result<Self, ScenarioError> {
-        let populations = (0..structure.component_count())
-            .map(|i| {
-                if i % 2 == 0 {
-                    Arc::clone(&self.pop_a)
-                } else {
-                    Arc::clone(&self.pop_b)
-                }
-            })
-            .collect();
-        let spec = SystemSpec::new(structure, populations)?;
-        check_regime(self.regime, Some(&spec))?;
+        check_structure(&structure)?;
+        check_regime(self.regime, &structure)?;
         let mut s = self.clone();
-        s.system = Some(Arc::new(spec));
+        s.structure = Arc::new(structure);
         Ok(s)
     }
 
@@ -775,31 +730,22 @@ impl Scenario {
         crate::estimate::estimate(self, replications, threads)
     }
 
-    /// Runs one structure-function system campaign (draw every component
-    /// version, draw suite(s), debug each component, evaluate the
-    /// composed system exactly). Deterministic in `seed`; on a
-    /// two-component 1-out-of-2 system it reproduces [`Scenario::run`]
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::Missing`] if the scenario was built without a
-    /// [`ScenarioBuilder::system`] spec.
-    pub fn system_run(&self, seed: u64) -> Result<SystemOutcome, ScenarioError> {
+    /// Runs one campaign of the scenario's structure (draw every
+    /// component version, draw suite(s), debug each component, evaluate
+    /// the composed system exactly). Deterministic in `seed`; under the
+    /// default 1-out-of-2 structure it reproduces [`Scenario::run`] bit
+    /// for bit.
+    pub fn system_run(&self, seed: u64) -> SystemOutcome {
         crate::system::run_system(self, seed)
     }
 
     /// Replicated system campaigns folded into per-component and system
     /// pfd estimates (byte-identical for any thread count).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// As for [`Scenario::system_run`].
-    pub fn system_estimate(
-        &self,
-        replications: u64,
-        threads: usize,
-    ) -> Result<SystemEstimates, ScenarioError> {
+    /// Panics if `threads == 0` or `replications == 0`.
+    pub fn system_estimate(&self, replications: u64, threads: usize) -> SystemEstimates {
         crate::system::estimate_system(self, replications, threads)
     }
 
@@ -999,11 +945,26 @@ impl Scenario {
     }
 }
 
+/// The one structure check every [`Scenario`] has passed, run by
+/// [`ScenarioBuilder::build`] and [`Scenario::with_structure`]: every
+/// gate has children, every `k` is in range, and the tree names at
+/// least one component.
+fn check_structure(structure: &Structure) -> Result<(), ScenarioError> {
+    structure
+        .validate(structure.component_count())
+        .map_err(|err| match err {
+            CoreError::InvalidStructure { reason } => ScenarioError::InvalidStructure { reason },
+            _ => ScenarioError::InvalidStructure {
+                reason: "structure has no components",
+            },
+        })
+}
+
 /// The one regime check every [`Scenario`] has passed, run by
 /// [`ScenarioBuilder::build`], [`Scenario::with_regime`] and
 /// [`Scenario::with_structure`]: the adaptive policy's parameters, the
-/// back-to-back γ, and whether the system (if any) can run the regime.
-fn check_regime(regime: CampaignRegime, system: Option<&SystemSpec>) -> Result<(), ScenarioError> {
+/// back-to-back γ, and whether the structure can run the regime.
+fn check_regime(regime: CampaignRegime, structure: &Structure) -> Result<(), ScenarioError> {
     match regime {
         CampaignRegime::Adaptive(policy) => policy.validate()?,
         CampaignRegime::BackToBack(identical) => {
@@ -1013,12 +974,18 @@ fn check_regime(regime: CampaignRegime, system: Option<&SystemSpec>) -> Result<(
         }
         CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {}
     }
-    system.map_or(Ok(()), |spec| spec.require_regime(regime))
+    crate::system::require_regime(regime, structure.component_count())
 }
 
 /// The suite-size cap, run by [`ScenarioBuilder::build`],
-/// [`Scenario::with_suite_size`] and the growth studies' checkpoint check.
-fn check_suite_size(size: usize) -> Result<(), ScenarioError> {
+/// [`Scenario::with_suite_size`] and the growth studies' checkpoint
+/// check; public so that front ends refuse the same sizes.
+///
+/// # Errors
+///
+/// [`ScenarioError::SuiteTooLarge`] if `size` exceeds
+/// [`MAX_SUITE_SIZE`].
+pub fn check_suite_size(size: usize) -> Result<(), ScenarioError> {
     if size > MAX_SUITE_SIZE {
         return Err(ScenarioError::SuiteTooLarge {
             size,
@@ -1030,8 +997,16 @@ fn check_suite_size(size: usize) -> Result<(), ScenarioError> {
 
 /// A growth study's checkpoints: non-empty, strictly increasing, and
 /// the last one (the demands the trajectory debugs on) within the
-/// suite-size cap.
-fn validate_checkpoints(checkpoints: &[usize]) -> Result<(), ScenarioError> {
+/// suite-size cap. Run by [`Scenario::growth`] and
+/// [`Scenario::growth_sample`]; public so that front ends refuse the
+/// same lists.
+///
+/// # Errors
+///
+/// [`ScenarioError::InvalidCheckpoints`] if `checkpoints` is empty or not
+/// strictly increasing; [`ScenarioError::SuiteTooLarge`] if the last
+/// checkpoint exceeds [`MAX_SUITE_SIZE`].
+pub fn validate_checkpoints(checkpoints: &[usize]) -> Result<(), ScenarioError> {
     let Some(&last) = checkpoints.last() else {
         return Err(ScenarioError::InvalidCheckpoints {
             reason: "need at least one checkpoint",
@@ -1104,26 +1079,6 @@ mod tests {
                 what: "profile",
                 expected: 3,
                 found: 5
-            }
-        );
-    }
-
-    #[test]
-    fn mismatched_generator_space_is_rejected() {
-        let w = world();
-        let wrong = ProfileGenerator::new(UsageProfile::uniform(DemandSpace::new(7).unwrap()));
-        let err = ScenarioBuilder::new()
-            .population(w.pop_a)
-            .profile(w.profile)
-            .generator(wrong)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::SpaceMismatch {
-                what: "generator",
-                expected: 3,
-                found: 7
             }
         );
     }

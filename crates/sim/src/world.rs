@@ -134,7 +134,7 @@ impl World {
     }
 
     /// A [`crate::scenario::ScenarioBuilder`] pre-loaded with this
-    /// world's populations, profile and generator.
+    /// world's populations and profile.
     pub fn scenario(&self) -> crate::scenario::ScenarioBuilder {
         crate::scenario::ScenarioBuilder::new().world(self)
     }

@@ -22,8 +22,9 @@ use crate::suite::TestSuite;
 
 /// A randomized procedure producing test suites of a requested size.
 ///
-/// The trait is object-safe: scenarios hold their procedure as a
-/// `dyn SuiteGenerator`.
+/// The trait is object-safe. A scenario's procedure is always a
+/// [`ProfileGenerator`] over its operational profile; worlds expose
+/// theirs for callers that draw suites directly.
 pub trait SuiteGenerator: std::fmt::Debug + Send + Sync {
     /// The demand space suites are generated over.
     fn space(&self) -> DemandSpace;

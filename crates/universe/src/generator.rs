@@ -86,6 +86,38 @@ pub enum PropensityKind {
 }
 
 impl PropensityKind {
+    /// Checks every bound before anything is drawn: each is a
+    /// probability in `[0, 1]`, and a uniform kind has `lo <= hi`.
+    ///
+    /// # Errors
+    ///
+    /// [`UniverseError::InvalidProbability`] naming the first bound
+    /// outside `[0, 1]` (NaN included);
+    /// [`UniverseError::InvalidPopulation`] if `lo > hi`.
+    pub fn validate(&self) -> Result<(), UniverseError> {
+        let probability = |name, value: f64| {
+            if (0.0..=1.0).contains(&value) {
+                Ok(())
+            } else {
+                Err(UniverseError::InvalidProbability { name, value })
+            }
+        };
+        match *self {
+            PropensityKind::Constant(p) => probability("propensity", p),
+            PropensityKind::Uniform { lo, hi } => {
+                probability("lo", lo)?;
+                probability("hi", hi)?;
+                if lo > hi {
+                    return Err(UniverseError::InvalidPopulation {
+                        reason: "uniform propensity bounds need lo <= hi",
+                    });
+                }
+                Ok(())
+            }
+            PropensityKind::Harmonic { hi } => probability("hi", hi),
+        }
+    }
+
     fn generate<R: Rng + ?Sized>(&self, rng: &mut R, n_faults: usize) -> Vec<f64> {
         match *self {
             PropensityKind::Constant(p) => vec![p; n_faults],
@@ -173,12 +205,14 @@ impl UniverseSpec {
     ///
     /// # Errors
     ///
-    /// Propagates construction errors from either component.
+    /// The [`PropensityKind::validate`] errors, before anything is drawn;
+    /// otherwise propagates construction errors from either component.
     pub fn generate_with_population<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         propensity: PropensityKind,
     ) -> Result<(Universe, BernoulliPopulation), UniverseError> {
+        propensity.validate()?;
         let universe = self.generate(rng)?;
         let props = propensity.generate(rng, self.n_faults);
         let pop = BernoulliPopulation::new(Arc::clone(universe.model()), props)?;
@@ -337,6 +371,46 @@ mod tests {
         for &p in pop.propensities() {
             assert!((0.1..=0.2).contains(&p));
         }
+    }
+
+    #[test]
+    fn bad_propensity_bounds_are_refused_before_any_draw() {
+        let spec = UniverseSpec::singleton(12);
+        for kind in [
+            PropensityKind::Uniform { lo: 0.6, hi: 0.2 },
+            PropensityKind::Uniform {
+                lo: f64::NAN,
+                hi: 0.5,
+            },
+            PropensityKind::Uniform { lo: 0.2, hi: 1.5 },
+            PropensityKind::Uniform { lo: -0.5, hi: 0.1 },
+        ] {
+            assert!(kind.validate().is_err(), "{kind:?}");
+            for seed in 0..20 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                assert!(
+                    spec.generate_with_population(&mut rng, kind).is_err(),
+                    "{kind:?} accepted at seed {seed}"
+                );
+            }
+        }
+        assert_eq!(
+            PropensityKind::Uniform { lo: 0.6, hi: 0.2 }.validate(),
+            Err(UniverseError::InvalidPopulation {
+                reason: "uniform propensity bounds need lo <= hi"
+            })
+        );
+        assert_eq!(
+            PropensityKind::Harmonic { hi: 1.5 }.validate(),
+            Err(UniverseError::InvalidProbability {
+                name: "hi",
+                value: 1.5
+            })
+        );
+        assert!(PropensityKind::Uniform { lo: 0.0, hi: 1.0 }
+            .validate()
+            .is_ok());
+        assert!(PropensityKind::Constant(1.0).validate().is_ok());
     }
 
     #[test]
