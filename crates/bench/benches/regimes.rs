@@ -2,16 +2,27 @@
 //! analyses, suite-measure enumeration, pair and system campaign
 //! simulation and growth curves.
 //!
+//! Campaign rows are named `group/<regime or structure>/<world>`, and a
+//! world's pair and system rows run on the same world: small-graded
+//! (singleton faults), asymmetric under ε-greedy allocation of a
+//! 16-execution budget, and a medium cascade. The `*_estimate` rows
+//! time one replication of the replicated study at one thread.
+//!
 //! Run measured (not `--test`) with
 //! `DIVERSIM_BENCH_JSON=BENCH_regimes.json` to archive the trajectory,
 //! as the CI `bench-measure` job does.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::Instant;
 
-use diversim_bench::worlds::{medium_cascade, small_graded};
+use criterion::{black_box, criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
+
+use diversim_bench::worlds::{asymmetric, medium_cascade, small_graded};
 use diversim_core::marginal::{MarginalAnalysis, SuiteAssignment};
 use diversim_core::structure::Structure;
 use diversim_sim::campaign::CampaignRegime;
+use diversim_sim::policy::PolicySpec;
+use diversim_sim::scenario::ScenarioBuilder;
+use diversim_testing::oracle::IdenticalFailureModel;
 use diversim_testing::suite_population::enumerate_iid_suites;
 
 fn bench_exact_marginal(c: &mut Criterion) {
@@ -54,43 +65,19 @@ fn bench_suite_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_campaigns(c: &mut Criterion) {
-    let base = medium_cascade(7)
-        .scenario()
-        .suite_size(64)
-        .build()
-        .expect("valid world");
-    let mut group = c.benchmark_group("sim/pair_campaign");
-    for (name, regime) in [
+/// The campaign worlds, one per row of the campaign groups, each with
+/// its suite size (the adaptive budget on asymmetric), its pair regimes
+/// and the structures of its system rows. Static worlds run their
+/// system rows under the shared suite; asymmetric runs its two-component
+/// systems under its adaptive regime.
+fn campaign_worlds() -> Vec<CampaignWorld> {
+    let b2b = CampaignRegime::BackToBack(IdenticalFailureModel::Bernoulli(0.5));
+    let statics = vec![
         ("independent", CampaignRegime::IndependentSuites),
         ("shared", CampaignRegime::SharedSuite),
-        (
-            "back_to_back",
-            CampaignRegime::BackToBack(diversim_testing::oracle::IdenticalFailureModel::Bernoulli(
-                0.5,
-            )),
-        ),
-    ] {
-        let scenario = base.with_regime(regime).unwrap();
-        group.bench_function(name, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed = seed.wrapping_add(1);
-                black_box(scenario.run(seed))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_system_campaigns(c: &mut Criterion) {
-    let base = medium_cascade(9)
-        .scenario()
-        .suite_size(64)
-        .build()
-        .expect("valid world");
-    let mut group = c.benchmark_group("sim/system_campaign");
-    for (name, structure) in [
+        ("back_to_back", b2b),
+    ];
+    let systems = vec![
         ("and-2", Structure::one_out_of_n(2)),
         ("2-of-3", Structure::k_of_n(2, 3)),
         (
@@ -100,17 +87,98 @@ fn bench_system_campaigns(c: &mut Criterion) {
                 Structure::and(vec![Structure::component(2), Structure::component(3)]),
             ]),
         ),
-    ] {
-        let scenario = base.with_structure(structure).expect("valid structure");
-        group.bench_function(name, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed = seed.wrapping_add(1);
-                black_box(scenario.system_run(seed))
-            })
-        });
+    ];
+    let epsilon = CampaignRegime::Adaptive(PolicySpec::EpsilonGreedy { epsilon: 0.1 });
+    vec![
+        CampaignWorld {
+            name: "small-graded",
+            base: small_graded().scenario().suite_size(4),
+            regimes: statics.clone(),
+            systems: systems.clone(),
+        },
+        CampaignWorld {
+            name: "asymmetric",
+            base: asymmetric().scenario().suite_size(16).regime(epsilon),
+            regimes: vec![("epsilon_greedy", epsilon)],
+            systems: vec![
+                ("and-2", Structure::one_out_of_n(2)),
+                ("or-2", Structure::series(2)),
+            ],
+        },
+        CampaignWorld {
+            name: "medium-cascade",
+            base: medium_cascade(7).scenario().suite_size(64),
+            regimes: statics,
+            systems,
+        },
+    ]
+}
+
+/// One world of the campaign groups (see [`campaign_worlds`]).
+struct CampaignWorld {
+    name: &'static str,
+    base: ScenarioBuilder,
+    regimes: Vec<(&'static str, CampaignRegime)>,
+    systems: Vec<(&'static str, Structure)>,
+}
+
+/// A campaign on successive seeds, one per iteration.
+fn each_seed<T>(b: &mut Bencher, campaign: impl Fn(u64) -> T) {
+    let mut seed = 0u64;
+    b.iter(|| {
+        seed = seed.wrapping_add(1);
+        black_box(campaign(seed))
+    })
+}
+
+/// A replicated study at one thread, timed per replication.
+fn per_replication<T>(b: &mut Bencher, study: impl Fn(u64) -> T) {
+    b.iter_custom(|replications| {
+        let started = Instant::now();
+        black_box(study(replications));
+        started.elapsed()
+    })
+}
+
+/// Pair campaigns (`Scenario::run`) and their estimate per replication
+/// (`Scenario::estimate`, the path of e06, e08–e10, e16–e18 and serve's
+/// estimate class), per regime and world.
+fn bench_campaigns(c: &mut Criterion) {
+    for world in campaign_worlds() {
+        let base = world.base.build().expect("valid world");
+        for (regime_name, regime) in &world.regimes {
+            let scenario = base.with_regime(*regime).expect("valid regime");
+            let id = format!("{regime_name}/{}", world.name);
+            c.benchmark_group("sim/pair_campaign")
+                .bench_function(id.as_str(), |b| each_seed(b, |seed| scenario.run(seed)));
+            c.benchmark_group("sim/pair_estimate")
+                .bench_function(id.as_str(), |b| {
+                    per_replication(b, |n| scenario.estimate(n, 1))
+                });
+        }
     }
-    group.finish();
+}
+
+/// System campaigns (`Scenario::system_run`) and their estimate per
+/// replication (`Scenario::system_estimate`), per structure and world.
+fn bench_system_campaigns(c: &mut Criterion) {
+    for world in campaign_worlds() {
+        let base = world.base.build().expect("valid world");
+        for (structure_name, structure) in &world.systems {
+            let scenario = base
+                .with_structure(structure.clone())
+                .expect("valid structure");
+            let id = format!("{structure_name}/{}", world.name);
+            c.benchmark_group("sim/system_campaign")
+                .bench_function(id.as_str(), |b| {
+                    each_seed(b, |seed| scenario.system_run(seed))
+                });
+            c.benchmark_group("sim/system_estimate")
+                .bench_function(id.as_str(), |b| {
+                    per_replication(b, |n| scenario.system_estimate(n, 1))
+                });
+        }
+    }
 }
 
 fn bench_growth(c: &mut Criterion) {

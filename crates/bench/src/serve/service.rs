@@ -438,6 +438,47 @@ mod tests {
     }
 
     #[test]
+    fn component_indices_at_the_cap_are_refused_before_any_draw() {
+        // A scenario draws, debugs and reports every component up to the
+        // largest index, so `or` over components 0 and N costs N + 1
+        // versions per campaign; at or above the cap it costs a refusal.
+        let service = EvaluationService::new(1, 2);
+        let line = |n: usize| {
+            concat!(
+                r#"{"api":"diversim/v1","id":"cap","kind":"evaluate","#,
+                r#""world":{"kind":"fixture","name":"small-graded"},"#,
+                r#""suite_size":4,"replications":10,"study":"estimate","#,
+                r#""system":{"kind":"or","children":[{"kind":"component","index":0},"#,
+                r#"{"kind":"component","index":N}]}}"#
+            )
+            .replace('N', &n.to_string())
+        };
+        for n in [256, 100_000] {
+            let started = std::time::Instant::now();
+            let response = service.handle_line(&line(n));
+            let elapsed = started.elapsed();
+            let (id, ok) = EvaluationResponse::parse_status(&response).unwrap();
+            assert_eq!((id.as_str(), ok), ("cap", false), "{response}");
+            assert!(
+                response.contains(concat!(
+                    r#""error":"invalid request field `system`: invalid structure: "#,
+                    r#"component index at or above the cap of 256 components"}"#
+                )),
+                "{response}"
+            );
+            // The request is refused as it is parsed, before any world is
+            // built or campaign run.
+            assert!(
+                elapsed < std::time::Duration::from_millis(100),
+                "{elapsed:?}"
+            );
+        }
+        let response = service.handle_line(&line(255));
+        let (id, ok) = EvaluationResponse::parse_status(&response).unwrap();
+        assert_eq!((id.as_str(), ok), ("cap", true), "{response}");
+    }
+
+    #[test]
     fn failures_become_error_responses_with_salvaged_ids() {
         let service = EvaluationService::new(1, 2);
         let line = service.handle_line(r#"{"id":"broken","world":7}"#);

@@ -51,6 +51,8 @@
 //! distinct components' failure indicators are independent Bernoullis and
 //! repeated leaves share one indicator.
 
+use std::borrow::Cow;
+
 use diversim_testing::suite_population::ExplicitSuitePopulation;
 use diversim_universe::bitset::BitSet;
 use diversim_universe::demand::DemandId;
@@ -63,6 +65,13 @@ use crate::testing_effect::TestingRegime;
 /// Largest number of *distinct* components for which the repeated-component
 /// probability path will enumerate joint states (`2^d` terms).
 pub const MAX_ENUMERATED_COMPONENTS: usize = 24;
+
+/// Component indices a structure may use: every leaf index is below this
+/// cap, which [`Structure::validate`] enforces. A system draws and debugs
+/// every component up to its largest index, so the cap bounds the work
+/// one tree can ask for. Trees number their components from 0, and a tree
+/// of 256 nodes names at most 255 of them.
+pub const MAX_COMPONENTS: usize = 256;
 
 /// A system structure function over component failure indicators.
 ///
@@ -187,7 +196,7 @@ impl Structure {
 
     /// Validate the tree against a component count: every gate must have at
     /// least one child, every `k` must satisfy `1 ≤ k ≤ n`, and every leaf
-    /// index must be `< n_components`.
+    /// index must be `< n_components` and below [`MAX_COMPONENTS`].
     pub fn validate(&self, n_components: usize) -> Result<(), CoreError> {
         if n_components == 0 {
             return Err(CoreError::EmptyInput {
@@ -200,6 +209,11 @@ impl Structure {
     fn validate_node(&self, n_components: usize) -> Result<(), CoreError> {
         match self {
             Structure::Component(i) => {
+                if *i >= MAX_COMPONENTS {
+                    return Err(CoreError::InvalidStructure {
+                        reason: "component index at or above the cap of 256 components",
+                    });
+                }
                 if *i >= n_components {
                     return Err(CoreError::InvalidStructure {
                         reason: "component index out of range",
@@ -268,23 +282,41 @@ impl Structure {
                 reason: "component failure sets must share a demand space",
             });
         }
-        Ok(self.failure_set_node(component_sets, capacity))
+        Ok(self.failure_set_unchecked(&|i| &component_sets[i], capacity))
     }
 
-    fn failure_set_node(&self, sets: &[BitSet], capacity: usize) -> BitSet {
+    /// The algebra of [`Structure::failure_set`] without its checks, over
+    /// borrowed leaf sets: leaf `i` fails on `leaf(i)`, a set of
+    /// `capacity` values. For callers that validated the tree once and
+    /// evaluate it many times, as a scenario's campaigns do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is malformed (see [`Structure::validate`]) or
+    /// `leaf` panics; a leaf set of another capacity panics or gives a
+    /// meaningless set.
+    pub fn failure_set_unchecked<'a, F>(&self, leaf: &F, capacity: usize) -> BitSet
+    where
+        F: Fn(usize) -> &'a BitSet,
+    {
+        // A child's set, borrowed when the child is a leaf.
+        let child = |c: &Structure| match c {
+            Structure::Component(i) => Cow::Borrowed(leaf(*i)),
+            gate => Cow::Owned(gate.failure_set_unchecked(leaf, capacity)),
+        };
         match self {
-            Structure::Component(i) => sets[*i].clone(),
+            Structure::Component(i) => leaf(*i).clone(),
             Structure::And(cs) => {
-                let mut acc = cs[0].failure_set_node(sets, capacity);
+                let mut acc = child(&cs[0]).into_owned();
                 for c in &cs[1..] {
-                    acc.intersect_with(&c.failure_set_node(sets, capacity));
+                    acc.intersect_with(&child(c));
                 }
                 acc
             }
             Structure::Or(cs) => {
-                let mut acc = cs[0].failure_set_node(sets, capacity);
+                let mut acc = child(&cs[0]).into_owned();
                 for c in &cs[1..] {
-                    acc.union_with(&c.failure_set_node(sets, capacity));
+                    acc.union_with(&child(c));
                 }
                 acc
             }
@@ -298,7 +330,7 @@ impl Structure {
                     ge.push(BitSet::new(capacity));
                 }
                 for c in children {
-                    let child = c.failure_set_node(sets, capacity);
+                    let child = child(c);
                     for j in (1..=t).rev() {
                         let mut step = ge[j - 1].clone();
                         step.intersect_with(&child);
@@ -673,6 +705,22 @@ mod tests {
             CoreError::EmptyInput { .. }
         ));
         assert!(Structure::bridge().validate(5).is_ok());
+    }
+
+    #[test]
+    fn component_indices_are_capped_whatever_the_count() {
+        let pair = |i: usize| Structure::or(vec![Structure::component(0), Structure::component(i)]);
+        for i in [MAX_COMPONENTS, 100_000] {
+            let err = pair(i).validate(i + 1).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::InvalidStructure {
+                    reason: "component index at or above the cap of 256 components"
+                }
+            );
+            assert!(err.to_string().contains(&MAX_COMPONENTS.to_string()));
+        }
+        assert!(pair(MAX_COMPONENTS - 1).validate(MAX_COMPONENTS).is_ok());
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub fn structure_failure_set(
 
 /// Probability that a structured system of concrete versions fails on a
 /// random demand: the usage-profile mass of
-/// [`structure_failure_set`], accumulated in ascending demand order.
+/// [`structure_failure_set`], accumulated in ascending demand order
+/// from `+0.0`, as the kernel's masses are.
 pub fn structure_system_pfd(
     structure: &Structure,
     versions: &[&Version],
@@ -55,8 +56,9 @@ pub fn structure_system_pfd(
 ) -> Result<f64, CoreError> {
     Ok(structure_failure_set(structure, versions, model)?
         .iter()
-        .map(|i| profile.probability(DemandId::new(i as u32)))
-        .sum())
+        .fold(0.0, |acc, i| {
+            acc + profile.probability(DemandId::new(i as u32))
+        }))
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! One simulated development-and-debugging campaign for a version pair,
-//! and the regime dispatch every campaign shares.
+//! The paper's pair campaign, and the regime dispatch every campaign
+//! shares.
 //!
 //! A campaign mirrors the paper's stochastic process end to end: draw
 //! `Π_A ~ S_A`, `Π_B ~ S_B`, debug under the chosen regime, and evaluate
@@ -9,17 +9,19 @@
 //! over versions and suites, exactly the uncertainty the paper's
 //! expectations range over.
 //!
-//! `debug_in_regime` is the one place a regime becomes debugging: the
-//! pair campaign, the system campaign ([`crate::system`]) and the policy
-//! studies ([`crate::policy`]) all draw their versions and hand them to
-//! it. Campaigns are launched through
-//! [`crate::scenario::Scenario::run`]; the scenario supplies the world,
-//! the process knobs and the per-world [`crate::prepared::Prepared`]
-//! cache the evaluation runs on.
+//! The pair campaign is the system campaign of [`crate::system`] over
+//! [`Structure::one_out_of_n`]`(2)`: [`crate::scenario::Scenario::run`]
+//! returns that campaign's outcome as a [`PairOutcome`], components 0
+//! and 1. `debug_in_regime` is the one place a regime becomes
+//! debugging: the campaign and the policy studies ([`crate::policy`])
+//! draw their versions and hand them to it.
+
+use std::sync::LazyLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use diversim_core::structure::Structure;
 use diversim_testing::oracle::IdenticalFailureModel;
 use diversim_testing::process::{back_to_back_debug, debug_in_place};
 use diversim_testing::suite::TestSuite;
@@ -27,6 +29,9 @@ use diversim_universe::version::Version;
 
 use crate::policy::{AllocationProfile, PolicySpec, PolicyStep};
 use crate::scenario::Scenario;
+
+/// The paper's 1-out-of-2 pair, built once for every pair campaign.
+pub(crate) static PAIR: LazyLock<Structure> = LazyLock::new(|| Structure::one_out_of_n(2));
 
 /// The testing regime a campaign runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +50,8 @@ pub enum CampaignRegime {
     Adaptive(PolicySpec),
 }
 
-/// Everything a campaign produced.
+/// Everything a pair campaign produced: the two-component view of a
+/// system campaign over [`Structure::one_out_of_n`]`(2)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairOutcome {
     /// Version A after debugging.
@@ -116,47 +122,18 @@ pub(crate) fn debug_in_regime(
     AllocationProfile::default()
 }
 
-/// Draws a campaign's pair from the start of its `rng` stream:
-/// `Π_A ~ S_A`, then `Π_B ~ S_B`.
-fn draw_pair(scenario: &Scenario, rng: &mut StdRng) -> [Version; 2] {
-    [0, 1].map(|i| scenario.component(i).sample(rng))
-}
-
-/// Runs one campaign of `scenario` (the body behind
-/// [`Scenario::run`]): draws the pair, evaluates it, debugs it under
-/// [`debug_in_regime`] and evaluates it again.
-pub(crate) fn run_campaign(scenario: &Scenario, seed: u64) -> PairOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let prepared = scenario.prepared();
-    let mut pair = draw_pair(scenario, &mut rng);
-    let first_pfd_before = prepared.version_pfd(&pair[0]);
-    let second_pfd_before = prepared.version_pfd(&pair[1]);
-    let system_pfd_before = prepared.pair_pfd(&pair[0], &pair[1]);
-    debug_in_regime(scenario, &mut pair, &mut rng, None);
-    let [first, second] = pair;
-    PairOutcome {
-        first_pfd: prepared.version_pfd(&first),
-        second_pfd: prepared.version_pfd(&second),
-        system_pfd: prepared.pair_pfd(&first, &second),
-        first,
-        second,
-        first_pfd_before,
-        second_pfd_before,
-        system_pfd_before,
-    }
-}
-
 /// The allocation profile of one adaptive campaign (the body behind
 /// [`Scenario::policy_trace`] and [`Scenario::policy_study`]), with the
-/// debugged pair it was realised on: the pair is drawn and debugged
-/// exactly as in [`run_campaign`], with no pfd evaluated.
+/// debugged pair it was realised on: `Π_A ~ S_A`, then `Π_B ~ S_B`,
+/// drawn and debugged exactly as in the pair campaign, with no pfd
+/// evaluated.
 pub(crate) fn allocation_profile(
     scenario: &Scenario,
     seed: u64,
     steps: Option<&mut Vec<PolicyStep>>,
 ) -> (AllocationProfile, [Version; 2]) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pair = draw_pair(scenario, &mut rng);
+    let mut pair = [0, 1].map(|i| scenario.component(i).sample(&mut rng));
     let profile = debug_in_regime(scenario, &mut pair, &mut rng, steps);
     (profile, pair)
 }

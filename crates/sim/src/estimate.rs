@@ -9,8 +9,11 @@
 use diversim_stats::ci::{normal_mean, Interval};
 use diversim_stats::online::MeanVar;
 use diversim_stats::reduce::Moments;
+use diversim_universe::version::Version;
 
+use crate::campaign::PAIR;
 use crate::scenario::Scenario;
+use crate::system::campaign;
 
 /// A Monte Carlo point estimate with its uncertainty.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,16 +65,15 @@ pub struct PairEstimates {
     pub system_pfd: Estimate,
 }
 
-/// The body behind [`Scenario::estimate`]: replicated campaigns folded
-/// straight into the three moment accumulators, so no per-replication
-/// outcome (with its full `Version` payloads) is ever materialised.
-/// Deterministic in `(scenario.seeds(), replications)` regardless of
-/// `threads`.
+/// The body behind [`Scenario::estimate`]: pair campaigns, without the
+/// pfds before debugging that nothing here reads, folded into the three
+/// moment accumulators. Deterministic in `(scenario.seeds(),
+/// replications)` regardless of `threads`.
 pub(crate) fn estimate(scenario: &Scenario, replications: u64, threads: usize) -> PairEstimates {
     let reducer = (Moments, Moments, Moments);
     let (acc_a, acc_b, acc_sys) = scenario.reduce(replications, threads, &reducer, |seed| {
-        let o = scenario.run(seed);
-        (o.first_pfd, o.second_pfd, o.system_pfd)
+        let (_, _, ([a, b], system)) = campaign::<[Version; 2]>(scenario, &PAIR, seed, false);
+        (a, b, system)
     });
     PairEstimates {
         version_a_pfd: Estimate::from_accumulator(&acc_a),
@@ -148,6 +150,49 @@ mod tests {
         let est = s.estimate(20_000, 4);
         assert!((est.version_a_pfd.mean - 0.3).abs() < 0.02);
         assert!((est.version_b_pfd.mean - 0.3).abs() < 0.02);
+    }
+
+    #[test]
+    fn estimate_folds_the_after_debugging_pfds_of_run() {
+        // The estimate skips the pfds before debugging. A fold of `run`'s
+        // three after-debugging pfds over the same seeds gives its bits
+        // only if skipping them leaves the random stream as it is.
+        use crate::policy::PolicySpec;
+        use diversim_testing::oracle::IdenticalFailureModel;
+
+        let small = World::singleton_uniform("estimate-fold", vec![0.1, 0.3, 0.5, 0.7]).unwrap();
+        for regime in [
+            CampaignRegime::SharedSuite,
+            CampaignRegime::IndependentSuites,
+            CampaignRegime::BackToBack(IdenticalFailureModel::Bernoulli(0.5)),
+            CampaignRegime::Adaptive(PolicySpec::RoundRobin),
+            CampaignRegime::Adaptive(PolicySpec::GreedyOnFailures),
+            CampaignRegime::Adaptive(PolicySpec::EpsilonGreedy { epsilon: 0.1 }),
+            CampaignRegime::Adaptive(PolicySpec::UcbIndex { c: 0.5 }),
+        ] {
+            let s = small
+                .scenario()
+                .suite_size(6)
+                .regime(regime)
+                .seed(11)
+                .build()
+                .unwrap();
+            let reducer = (Moments, Moments, Moments);
+            let (a, b, sys) = s.reduce(300, 1, &reducer, |seed| {
+                let o = s.run(seed);
+                (o.first_pfd, o.second_pfd, o.system_pfd)
+            });
+            let bits = |e: &Estimate| [e.mean.to_bits(), e.standard_error.to_bits()];
+            let est = s.estimate(300, 3);
+            for (got, folded) in [
+                (&est.version_a_pfd, &a),
+                (&est.version_b_pfd, &b),
+                (&est.system_pfd, &sys),
+            ] {
+                let folded = Estimate::from_accumulator(folded);
+                assert_eq!(bits(got), bits(&folded), "{regime:?}");
+            }
+        }
     }
 
     #[test]

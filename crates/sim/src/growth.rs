@@ -65,11 +65,6 @@ impl GrowthCurve {
     pub fn version_a_means(&self) -> Vec<f64> {
         self.version_a.iter().map(MeanVar::mean).collect()
     }
-
-    /// Mean version-B pfd at each checkpoint.
-    pub fn version_b_means(&self) -> Vec<f64> {
-        self.version_b.iter().map(MeanVar::mean).collect()
-    }
 }
 
 fn record(sample: &mut GrowthSample, prepared: &Prepared, va: &Version, vb: &Version) {

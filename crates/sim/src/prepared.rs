@@ -23,7 +23,8 @@
 //!   packed weighted-popcount kernel.
 //!
 //! Whatever the strategy, every mass is accumulated in ascending demand
-//! order into a single `f64`, so the three paths agree bit-for-bit (see
+//! order into a single `f64` that starts at `+0.0`, so the three paths
+//! agree bit-for-bit, an empty failure set included (see
 //! [`BitSet::weighted_mass`](diversim_universe::bitset::BitSet::weighted_mass)).
 //!
 //! The cache is built once per scenario and shared (via `Arc`) by every
@@ -82,7 +83,7 @@ impl Prepared {
         let regions: Vec<_> = model.fault_ids().map(|f| model.fault(f).region()).collect();
         let fault_mass: Box<[f64]> = regions
             .iter()
-            .map(|r| r.iter().map(|&x| weights[x.index()]).sum())
+            .map(|r| r.iter().fold(0.0, |acc, &x| acc + weights[x.index()]))
             .collect();
         // One-demand regions ascending with the fault id: adding their
         // masses in fault order repeats the kernel's additions exactly.
@@ -117,11 +118,6 @@ impl Prepared {
         &self.profile
     }
 
-    /// `Q(·)` in the kernel's block-major layout.
-    pub fn weights(&self) -> &BlockWeights {
-        &self.weights
-    }
-
     /// The evaluation strategy chosen for this world.
     pub fn strategy(&self) -> EvalStrategy {
         self.strategy
@@ -150,12 +146,11 @@ impl Prepared {
     /// `O(Σ region sizes · log)` independent of the space size.
     pub fn version_pfd(&self, v: &Version) -> f64 {
         match self.strategy {
-            EvalStrategy::Disjoint => v.faults().map(|f| self.fault_mass[f.index()]).sum(),
+            EvalStrategy::Disjoint => v.fault_set().weighted_mass(&self.fault_mass),
             EvalStrategy::SparseUnion => self
                 .sparse_failure_indices(v)
                 .iter()
-                .map(|&i| self.weights.weight(i as usize))
-                .sum(),
+                .fold(0.0, |acc, &i| acc + self.weights.weight(i as usize)),
             EvalStrategy::DenseBlocks => self.weights.mass(&v.failure_set(&self.model)),
         }
     }
@@ -166,32 +161,19 @@ impl Prepared {
     /// With disjoint regions the pair fails exactly on the regions of the
     /// *shared* faults, so the sum runs over the fault-set intersection;
     /// otherwise the shared failure mass is a masked weighted dot product
-    /// (or a sorted-list merge on sparse-union worlds).
+    /// (or a search of one sorted index list in the other on
+    /// sparse-union worlds).
     pub fn pair_pfd(&self, a: &Version, b: &Version) -> f64 {
         match self.strategy {
-            EvalStrategy::Disjoint => {
-                let other = b.fault_set();
-                a.faults()
-                    .filter(|f| other.contains(f.index()))
-                    .map(|f| self.fault_mass[f.index()])
-                    .sum()
-            }
+            EvalStrategy::Disjoint => a
+                .fault_set()
+                .weighted_intersection(b.fault_set(), &self.fault_mass),
             EvalStrategy::SparseUnion => {
-                let ia = self.sparse_failure_indices(a);
                 let ib = self.sparse_failure_indices(b);
-                let (mut pa, mut pb, mut acc) = (0, 0, 0.0);
-                while pa < ia.len() && pb < ib.len() {
-                    match ia[pa].cmp(&ib[pb]) {
-                        std::cmp::Ordering::Less => pa += 1,
-                        std::cmp::Ordering::Greater => pb += 1,
-                        std::cmp::Ordering::Equal => {
-                            acc += self.weights.weight(ia[pa] as usize);
-                            pa += 1;
-                            pb += 1;
-                        }
-                    }
-                }
-                acc
+                self.sparse_failure_indices(a)
+                    .into_iter()
+                    .filter(|i| ib.binary_search(i).is_ok())
+                    .fold(0.0, |acc, i| acc + self.weights.weight(i as usize))
             }
             EvalStrategy::DenseBlocks => self
                 .weights
@@ -199,31 +181,36 @@ impl Prepared {
         }
     }
 
-    /// Exact system pfd of concrete `versions` composed under
-    /// `structure`: `Σ_x 1[φ fails at x] Q(x)`.
-    ///
-    /// The structure's failure set is materialised once by the packed
-    /// bit-set algebra of [`Structure::failure_set`] and weighed by the
-    /// block-major kernel, so the result matches
-    /// [`diversim_core::system::structure_system_pfd`] bit-for-bit
-    /// (same sets, same ascending-demand accumulation). A 1-out-of-2
-    /// structure gives the value of [`Prepared::pair_pfd`] and a bare
-    /// component that of [`Prepared::version_pfd`], but not their cost:
-    /// this path builds every component's failure set on every strategy.
+    /// Exact system pfd of `versions` composed under `structure`:
+    /// `Σ_x 1[φ fails at x] Q(x)`, bit-for-bit
+    /// [`diversim_core::system::structure_system_pfd`], and the one
+    /// system evaluator of every campaign. An AND over two leaves (the
+    /// paper's pair) is [`Prepared::pair_pfd`]; any other tree runs the
+    /// failure-set algebra of [`Structure::failure_set`] over the
+    /// versions' fault sets on a [`EvalStrategy::Disjoint`] world (no
+    /// demand set is built), over their demand failure sets otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `structure` is malformed or indexes a component at or
-    /// beyond `versions.len()` — scenario construction validates the
-    /// structure against its component populations up front.
-    pub fn structure_pfd(&self, versions: &[&Version], structure: &Structure) -> f64 {
+    /// beyond `versions.len()`: scenario construction validates the tree
+    /// once, so this does not.
+    pub fn structure_pfd(&self, versions: &[Version], structure: &Structure) -> f64 {
+        if let Structure::And(gate) = structure {
+            if let [Structure::Component(i), Structure::Component(j)] = gate.as_slice() {
+                return self.pair_pfd(&versions[*i], &versions[*j]);
+            }
+        }
+        if self.strategy == EvalStrategy::Disjoint {
+            let capacity = self.model.fault_count();
+            let failed = structure.failure_set_unchecked(&|i| versions[i].fault_set(), capacity);
+            return failed.weighted_mass(&self.fault_mass);
+        }
         let sets: Vec<BitSet> = versions
             .iter()
             .map(|v| v.failure_set(&self.model))
             .collect();
-        let failed = structure
-            .failure_set(&sets)
-            .expect("scenario-validated structure");
+        let failed = structure.failure_set_unchecked(&|i| &sets[i], self.model.space().len());
         self.weights.mass(&failed)
     }
 }
@@ -387,29 +374,43 @@ mod tests {
         assert_eq!(p.pair_pfd(&a, &b), pair_pfd(&a, &b, &model, &q));
     }
 
-    #[test]
-    fn structure_pfd_flat_cases_match_the_fast_paths() {
-        // On every strategy, the structure kernel's degenerate shapes
-        // (bare component, 1-out-of-2) land on exactly the values the
-        // specialised fast paths produce, for every version pair. The
-        // regions {0,1,2}, {3,4} and {5..8} are disjoint but wider than
-        // one demand, so summing their masses would regroup the kernel's
-        // ascending-demand additions; they run under eight Zipf profiles.
+    /// One prepared world per evaluation strategy, plus disjoint regions
+    /// wider than one demand under eight Zipf profiles (summing their
+    /// masses would regroup the kernel's ascending-demand additions).
+    fn strategy_worlds() -> Vec<Prepared> {
         let space = DemandSpace::new(4).unwrap();
         let singletons = FaultModelBuilder::new(space).singleton_faults();
         let overlapping = FaultModelBuilder::new(space)
             .fault([d(0), d(1), d(2)])
             .fault([d(1), d(2), d(3)]);
-        let mut worlds: Vec<Prepared> = vec![
+        let big = DemandSpace::new(2048).unwrap();
+        let sparse = FaultModelBuilder::new(big)
+            .fault([d(100), d(700), d(1500)])
+            .fault([d(700), d(1500), d(2000)])
+            .fault([d(3)]);
+        let mut worlds = vec![
             Prepared::new(
                 Arc::new(singletons.build().unwrap()),
                 UsageProfile::from_weights(space, vec![0.1, 0.2, 0.3, 0.4]).unwrap(),
+            ),
+            Prepared::new(
+                Arc::new(sparse.build().unwrap()),
+                UsageProfile::zipf(big, 0.4).unwrap(),
             ),
             Prepared::new(
                 Arc::new(overlapping.build().unwrap()),
                 UsageProfile::zipf(space, 0.5).unwrap(),
             ),
         ];
+        let strategies: Vec<EvalStrategy> = worlds.iter().map(Prepared::strategy).collect();
+        assert_eq!(
+            strategies,
+            [
+                EvalStrategy::Disjoint,
+                EvalStrategy::SparseUnion,
+                EvalStrategy::DenseBlocks
+            ]
+        );
         let wide_space = DemandSpace::new(9).unwrap();
         let wide = Arc::new(
             FaultModelBuilder::new(wide_space)
@@ -423,71 +424,102 @@ mod tests {
             let q = UsageProfile::zipf(wide_space, 0.3 + 0.2 * f64::from(step)).unwrap();
             worlds.push(Prepared::new(Arc::clone(&wide), q));
         }
+        worlds
+    }
+
+    #[test]
+    fn structure_pfd_flat_cases_match_the_fast_paths() {
+        // On every strategy, the degenerate shapes land on the values of
+        // the specialised paths to the bit: the pair on the core
+        // reference, a bare component and an AND of one leaf twice on
+        // the version's pfd.
         let and2 = Structure::one_out_of_n(2);
         let solo = Structure::component(0);
-        for p in &worlds {
-            let versions = all_versions(p.model(), p.model().fault_count() as u32);
+        let twice = Structure::and(vec![solo.clone(), solo.clone()]);
+        for p in &strategy_worlds() {
+            let (model, q) = (p.model(), p.profile());
+            let versions = all_versions(model, model.fault_count() as u32);
             for a in &versions {
                 for b in &versions {
+                    let pair = [a.clone(), b.clone()];
                     assert_eq!(
-                        p.structure_pfd(&[a, b], &and2),
-                        p.pair_pfd(a, b),
+                        p.structure_pfd(&pair, &and2).to_bits(),
+                        pair_pfd(a, b, model, q).to_bits(),
                         "{:?} pair {:?} / {:?}",
-                        p.profile().probabilities(),
+                        p.strategy(),
                         a.faults().collect::<Vec<_>>(),
                         b.faults().collect::<Vec<_>>()
                     );
                 }
-                assert_eq!(p.structure_pfd(&[a], &solo), p.version_pfd(a));
+                let alone = [a.clone()];
+                let pfd = p.version_pfd(a).to_bits();
+                assert_eq!(p.structure_pfd(&alone, &solo).to_bits(), pfd);
+                assert_eq!(p.structure_pfd(&alone, &twice).to_bits(), pfd);
+                assert_eq!(p.pair_pfd(a, a).to_bits(), pfd);
             }
         }
     }
 
     #[test]
     fn structure_pfd_matches_core_path_bit_for_bit() {
-        let space = DemandSpace::new(6).unwrap();
-        let model = Arc::new(
-            FaultModelBuilder::new(space)
-                .fault([d(0), d(1)])
-                .fault([d(1), d(2), d(3)])
-                .fault([d(4), d(5)])
-                .build()
-                .unwrap(),
-        );
-        let q = UsageProfile::zipf(space, 0.8).unwrap();
-        let p = Prepared::new(Arc::clone(&model), q.clone());
-        let vs = [
-            Version::from_faults(&model, [f(0)]),
-            Version::from_faults(&model, [f(1)]),
-            Version::from_faults(&model, [f(0), f(2)]),
-        ];
-        let refs: Vec<&Version> = vs.iter().collect();
-        for s in [
-            Structure::series(3),
-            Structure::one_out_of_n(3),
-            Structure::k_of_n(2, 3),
-        ] {
-            assert_eq!(
-                p.structure_pfd(&refs, &s),
-                structure_system_pfd(&s, &refs, &model, &q).unwrap(),
-                "sim and core structure paths disagree on {s:?}"
-            );
+        // Every tuple over a palette of four versions — the correct one,
+        // two single faults and every fault — on every strategy: the
+        // tuples include systems that fail nowhere.
+        for p in &strategy_worlds() {
+            let model = p.model();
+            let n = model.fault_count() as u32;
+            let palette = [
+                Version::correct(model),
+                Version::from_faults(model, [f(0)]),
+                Version::from_faults(model, [f(1)]),
+                Version::from_faults(model, (0..n).map(f)),
+            ];
+            for s in [
+                Structure::series(3),
+                Structure::one_out_of_n(3),
+                Structure::k_of_n(2, 3),
+                Structure::bridge(),
+            ] {
+                let width = s.component_count() as u32;
+                let mut fails_nowhere = 0;
+                for code in 0..palette.len().pow(width) {
+                    let versions: Vec<Version> = (0..width)
+                        .map(|i| palette[code / palette.len().pow(i) % palette.len()].clone())
+                        .collect();
+                    let refs: Vec<&Version> = versions.iter().collect();
+                    let want = structure_system_pfd(&s, &refs, model, p.profile()).unwrap();
+                    assert_eq!(
+                        p.structure_pfd(&versions, &s).to_bits(),
+                        want.to_bits(),
+                        "{:?} {s:?} tuple {code}",
+                        p.strategy()
+                    );
+                    fails_nowhere += usize::from(want == 0.0);
+                }
+                assert!(fails_nowhere > 0, "{s:?} always fails somewhere");
+            }
         }
     }
 
     #[test]
-    fn correct_version_has_zero_pfd_on_both_paths() {
-        let space = DemandSpace::new(5).unwrap();
-        let model = Arc::new(
-            FaultModelBuilder::new(space)
-                .singleton_faults()
-                .build()
-                .unwrap(),
-        );
-        let q = UsageProfile::uniform(space);
-        let p = Prepared::new(Arc::clone(&model), q);
-        let v = Version::correct(&model);
-        assert_eq!(p.version_pfd(&v), 0.0);
-        assert_eq!(p.pair_pfd(&v, &v), 0.0);
+    fn empty_failure_sets_weigh_positive_zero_on_every_strategy() {
+        // The kernel's sums start at +0.0; an empty fast-path sum must not
+        // be -0.0.
+        for p in &strategy_worlds() {
+            let model = p.model();
+            let correct = Version::correct(model);
+            let (a, b) = (
+                Version::from_faults(model, [f(0)]),
+                Version::from_faults(model, [f(1)]),
+            );
+            let zero = 0.0f64.to_bits();
+            assert_eq!(p.version_pfd(&correct).to_bits(), zero);
+            assert_eq!(p.pair_pfd(&correct, &correct).to_bits(), zero);
+            assert_eq!(correct.pfd(model, p.profile()).to_bits(), zero);
+            if p.strategy() == EvalStrategy::Disjoint {
+                // Faults 0 and 1 fail on different demands.
+                assert_eq!(p.pair_pfd(&a, &b).to_bits(), zero);
+            }
+        }
     }
 }

@@ -70,7 +70,7 @@ use diversim_universe::profile::UsageProfile;
 use diversim_universe::version::Version;
 
 use crate::adaptive::{AdaptiveOutcome, AdaptiveStudy};
-use crate::campaign::{CampaignRegime, PairOutcome};
+use crate::campaign::{CampaignRegime, PairOutcome, PAIR};
 use crate::common_cause::{ClarificationStudy, MistakeMode, MistakeStudy};
 use crate::estimate::PairEstimates;
 use crate::growth::{GrowthCurve, GrowthSample, MergedComparison, MergedEstimates};
@@ -711,10 +711,24 @@ impl Scenario {
 
     // --- studies -------------------------------------------------------
 
-    /// Runs one end-to-end campaign (draw versions, draw suites, debug,
-    /// evaluate exactly). Deterministic in `seed`.
+    /// Runs one end-to-end campaign of the paper's pair, whatever the
+    /// scenario's structure: [`Scenario::system_run`] over
+    /// [`Structure::one_out_of_n`]`(2)`. Deterministic in `seed`.
     pub fn run(&self, seed: u64) -> PairOutcome {
-        crate::campaign::run_campaign(self, seed)
+        let ([first, second], before, after) = crate::system::campaign(self, &PAIR, seed, true);
+        let ([first_pfd, second_pfd], system_pfd) = after;
+        let ([first_pfd_before, second_pfd_before], system_pfd_before) =
+            before.expect("evaluated before");
+        PairOutcome {
+            first,
+            second,
+            first_pfd,
+            second_pfd,
+            system_pfd,
+            first_pfd_before,
+            second_pfd_before,
+            system_pfd_before,
+        }
     }
 
     /// Estimates the marginal version and system pfds of the tested pair
@@ -732,11 +746,19 @@ impl Scenario {
 
     /// Runs one campaign of the scenario's structure (draw every
     /// component version, draw suite(s), debug each component, evaluate
-    /// the composed system exactly). Deterministic in `seed`; under the
-    /// default 1-out-of-2 structure it reproduces [`Scenario::run`] bit
-    /// for bit.
+    /// the composed system exactly). Deterministic in `seed`;
+    /// [`Scenario::run`] is this campaign over the paper's pair.
     pub fn system_run(&self, seed: u64) -> SystemOutcome {
-        crate::system::run_system(self, seed)
+        let (versions, before, (component_pfds, system_pfd)) =
+            crate::system::campaign(self, &self.structure, seed, true);
+        let (component_pfds_before, system_pfd_before) = before.expect("evaluated before");
+        SystemOutcome {
+            versions,
+            component_pfds_before,
+            component_pfds,
+            system_pfd_before,
+            system_pfd,
+        }
     }
 
     /// Replicated system campaigns folded into per-component and system
@@ -963,18 +985,26 @@ fn check_structure(structure: &Structure) -> Result<(), ScenarioError> {
 /// The one regime check every [`Scenario`] has passed, run by
 /// [`ScenarioBuilder::build`], [`Scenario::with_regime`] and
 /// [`Scenario::with_structure`]: the adaptive policy's parameters, the
-/// back-to-back γ, and whether the structure can run the regime.
+/// back-to-back γ, and, for these pair-only regimes, a structure of
+/// exactly two components. Suite regimes run any structure.
 fn check_regime(regime: CampaignRegime, structure: &Structure) -> Result<(), ScenarioError> {
-    match regime {
-        CampaignRegime::Adaptive(policy) => policy.validate()?,
-        CampaignRegime::BackToBack(identical) => {
-            if let Err(TestingError::InvalidProbability { value, .. }) = identical.validate() {
-                return Err(ScenarioError::InvalidGamma { value });
+    let pair_only = match regime {
+        CampaignRegime::Adaptive(policy) => policy.validate().map(|()| "adaptive")?,
+        CampaignRegime::BackToBack(identical) => match identical.validate() {
+            Err(TestingError::InvalidProbability { value, .. }) => {
+                return Err(ScenarioError::InvalidGamma { value })
             }
-        }
-        CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {}
+            _ => "back-to-back",
+        },
+        CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => return Ok(()),
+    };
+    match structure.component_count() {
+        2 => Ok(()),
+        components => Err(ScenarioError::PairRegimeRequired {
+            regime: pair_only,
+            components,
+        }),
     }
-    crate::system::require_regime(regime, structure.component_count())
 }
 
 /// The suite-size cap, run by [`ScenarioBuilder::build`],

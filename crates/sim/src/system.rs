@@ -1,12 +1,11 @@
-//! Structure-function systems over the scenario's two methodologies.
+//! The campaign: structure-function systems over the scenario's two
+//! methodologies.
 //!
-//! The paper's campaigns debug a *pair* and evaluate it 1-out-of-2. This
-//! module generalises the simulated process to any coherent structure
-//! over `n` components: every [`Scenario`] carries one AND/OR/k-out-of-n
-//! fault tree from [`diversim_core::structure`] (the paper's pair unless
-//! set otherwise), component `i` draws from `S_A` when `i` is even and
-//! from `S_B` when it is odd, and [`Scenario::system_run`] /
-//! [`Scenario::system_estimate`] run the pair's campaign per component:
+//! Every [`Scenario`] carries one AND/OR/k-out-of-n fault tree from
+//! [`diversim_core::structure`] (the paper's 1-out-of-2 pair unless set
+//! otherwise), whose component `i` draws from `S_A` when `i` is even and
+//! from `S_B` when it is odd. One campaign draws the components, debugs
+//! them and evaluates them with [`crate::prepared::Prepared::structure_pfd`]:
 //!
 //! * **shared suite** — one generated suite debugs every component (the
 //!   eq-20 coupling regime, now acting at every gate);
@@ -15,13 +14,11 @@
 //! * **back-to-back / adaptive** — pair-only semantics, accepted exactly
 //!   when the structure has two components.
 //!
-//! The pair campaign and the system campaign share one regime dispatch
-//! (`campaign::debug_in_regime`), so the flat path and the structure
-//! path cannot drift. Replication rng order is fixed and
-//! component-indexed — sample every version in index order, then
-//! generate suite(s), then debug in index order — so the default
-//! 1-out-of-2 structure reproduces [`Scenario::run`] bit for bit, and
-//! every estimate is byte-identical for any worker-thread count.
+//! [`Scenario::system_run`] and [`Scenario::system_estimate`] run it over
+//! the scenario's structure, [`Scenario::run`] and [`Scenario::estimate`]
+//! over the paper's pair. Its rng order — every version in index order,
+//! then the suite(s), then debugging in index order — makes estimates
+//! byte-identical for any worker-thread count.
 //!
 //! # Examples
 //!
@@ -45,32 +42,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use diversim_core::structure::Structure;
 use diversim_stats::reduce::{ElementWise, Moments};
 use diversim_universe::version::Version;
 
-use crate::campaign::{debug_in_regime, CampaignRegime};
+use crate::campaign::debug_in_regime;
 use crate::estimate::Estimate;
-use crate::scenario::{Scenario, ScenarioError};
-
-/// Whether `regime` can run on `components` components: suite regimes
-/// always can, pair-only regimes (back-to-back, adaptive) only on two.
-pub(crate) fn require_regime(
-    regime: CampaignRegime,
-    components: usize,
-) -> Result<(), ScenarioError> {
-    match regime {
-        CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => Ok(()),
-        CampaignRegime::BackToBack(_) | CampaignRegime::Adaptive(_) if components == 2 => Ok(()),
-        CampaignRegime::BackToBack(_) => Err(ScenarioError::PairRegimeRequired {
-            regime: "back-to-back",
-            components,
-        }),
-        CampaignRegime::Adaptive(_) => Err(ScenarioError::PairRegimeRequired {
-            regime: "adaptive",
-            components,
-        }),
-    }
-}
+use crate::scenario::Scenario;
 
 /// Everything one system campaign produced, all component-indexed.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,31 +76,62 @@ pub struct SystemEstimates {
     pub system_pfd: Estimate,
 }
 
-/// One system campaign (the body behind [`Scenario::system_run`]), in
-/// the rng order of the module docs. Scenario validation guarantees the
-/// scenario's regime can run its structure.
-pub(crate) fn run_system(scenario: &Scenario, seed: u64) -> SystemOutcome {
-    let structure = scenario.structure();
+/// A campaign's components: the paper's pair as an array, so that a pair
+/// campaign allocates nothing of its own, or a vector for any structure.
+pub(crate) trait Components: AsRef<[Version]> + AsMut<[Version]> {
+    type Pfds;
+    /// Components `0..n`, `draw(i)` called in index order.
+    fn draw(n: usize, draw: impl FnMut(usize) -> Version) -> Self;
+    fn pfds(&self, pfd: impl FnMut(&Version) -> f64) -> Self::Pfds;
+}
+
+impl Components for [Version; 2] {
+    type Pfds = [f64; 2];
+    fn draw(n: usize, draw: impl FnMut(usize) -> Version) -> Self {
+        assert_eq!(n, 2, "a pair has two components");
+        std::array::from_fn(draw)
+    }
+    fn pfds(&self, pfd: impl FnMut(&Version) -> f64) -> [f64; 2] {
+        self.each_ref().map(pfd)
+    }
+}
+
+impl Components for Vec<Version> {
+    type Pfds = Vec<f64>;
+    fn draw(n: usize, draw: impl FnMut(usize) -> Version) -> Self {
+        (0..n).map(draw).collect()
+    }
+    fn pfds(&self, pfd: impl FnMut(&Version) -> f64) -> Vec<f64> {
+        self.iter().map(pfd).collect()
+    }
+}
+
+/// The component pfds and the system pfd of one state of a campaign.
+pub(crate) type Pfds<C> = (<C as Components>::Pfds, f64);
+
+/// The campaign behind [`Scenario::run`], `estimate`, `system_run` and
+/// `system_estimate`, in the rng order of the module docs: the debugged
+/// components, and their pfds before debugging (if `before`; evaluating
+/// draws no random number) and after.
+pub(crate) fn campaign<C: Components>(
+    scenario: &Scenario,
+    structure: &Structure,
+    seed: u64,
+    before: bool,
+) -> (C, Option<Pfds<C>>, Pfds<C>) {
     let prepared = scenario.prepared();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut versions: Vec<Version> = (0..structure.component_count())
-        .map(|i| scenario.component(i).sample(&mut rng))
-        .collect();
-    let pfds = |versions: &[Version]| -> (Vec<f64>, f64) {
-        let refs: Vec<&Version> = versions.iter().collect();
-        let components = versions.iter().map(|v| prepared.version_pfd(v)).collect();
-        (components, prepared.structure_pfd(&refs, structure))
+    let mut versions = C::draw(structure.component_count(), |i| {
+        scenario.component(i).sample(&mut rng)
+    });
+    let pfds = |versions: &C| {
+        let system = prepared.structure_pfd(versions.as_ref(), structure);
+        (versions.pfds(|v| prepared.version_pfd(v)), system)
     };
-    let (component_pfds_before, system_pfd_before) = pfds(&versions);
-    debug_in_regime(scenario, &mut versions, &mut rng, None);
-    let (component_pfds, system_pfd) = pfds(&versions);
-    SystemOutcome {
-        versions,
-        component_pfds_before,
-        component_pfds,
-        system_pfd_before,
-        system_pfd,
-    }
+    let before = before.then(|| pfds(&versions));
+    debug_in_regime(scenario, versions.as_mut(), &mut rng, None);
+    let after = pfds(&versions);
+    (versions, before, after)
 }
 
 /// The body behind [`Scenario::system_estimate`]: replicated system
@@ -140,7 +149,7 @@ pub(crate) fn estimate_system(
     );
     let (system, system_before, components) =
         scenario.reduce(replications, threads, &reducer, |seed| {
-            let out = run_system(scenario, seed);
+            let out = scenario.system_run(seed);
             (out.system_pfd, out.system_pfd_before, out.component_pfds)
         });
     SystemEstimates {
@@ -153,12 +162,18 @@ pub(crate) fn estimate_system(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignRegime, PairOutcome};
+    use crate::prepared::Prepared;
+    use crate::scenario::ScenarioError;
     use crate::world::World;
-    use diversim_core::structure::Structure;
-    use diversim_testing::oracle::IdenticalFailureModel;
-    use diversim_universe::demand::DemandSpace;
+    use diversim_testing::fixing::PerfectFixer;
+    use diversim_testing::generation::{ProfileGenerator, SuiteGenerator};
+    use diversim_testing::oracle::{IdenticalFailureModel, PerfectOracle};
+    use diversim_testing::process::{back_to_back_debug, debug_version};
+    use diversim_universe::demand::{DemandId, DemandSpace};
     use diversim_universe::fault::FaultModelBuilder;
-    use diversim_universe::population::BernoulliPopulation;
+    use diversim_universe::generator::{ProfileKind, PropensityKind, RegionSize, UniverseSpec};
+    use diversim_universe::population::{BernoulliPopulation, Population};
     use diversim_universe::profile::UsageProfile;
     use std::sync::Arc;
 
@@ -177,59 +192,155 @@ mod tests {
             .unwrap()
     }
 
-    /// Asserts that the system campaign of `s` replays its pair campaign
-    /// for seeds `0..seeds`.
-    fn assert_replays_the_pair(s: &Scenario, seeds: u64) {
-        for seed in 0..seeds {
-            let pair = s.run(seed);
-            let sys = s.system_run(seed);
-            assert_eq!(sys.versions, vec![pair.first, pair.second]);
-            assert_eq!(sys.component_pfds, vec![pair.first_pfd, pair.second_pfd]);
-            assert_eq!(
-                sys.component_pfds_before,
-                vec![pair.first_pfd_before, pair.second_pfd_before]
-            );
-            assert_eq!(sys.system_pfd, pair.system_pfd);
-            assert_eq!(sys.system_pfd_before, pair.system_pfd_before);
-        }
-    }
-
-    #[test]
-    fn one_out_of_two_system_replays_the_pair_campaign_bit_for_bit() {
-        let world = World::singleton_uniform("sys-pair", vec![0.4, 0.6, 0.2, 0.8]).unwrap();
-        for regime in [
-            CampaignRegime::SharedSuite,
-            CampaignRegime::IndependentSuites,
-            CampaignRegime::BackToBack(IdenticalFailureModel::Never),
-        ] {
-            let explicit = system_scenario(&world, Structure::one_out_of_n(2), regime, 5);
-            assert_replays_the_pair(&explicit, 20);
-            // The default structure is the paper's pair.
-            let default = world
-                .scenario()
-                .regime(regime)
-                .suite_size(5)
+    /// The worlds the pair campaign is replayed on, with a suite size
+    /// each: small-graded (singleton faults, the `Disjoint` strategy),
+    /// asymmetric (A's broad blunders against B's narrow defects) and a
+    /// 200-demand cascade of regions one to four demands wide.
+    fn replay_worlds() -> [(World, usize); 3] {
+        let small_graded =
+            World::singleton_uniform("small-graded", vec![0.02, 0.05, 0.1, 0.2, 0.4, 0.6]).unwrap();
+        let space = DemandSpace::new(6).unwrap();
+        let regions: [&[u32]; 11] = [
+            &[0, 1, 2],
+            &[3, 4, 5],
+            &[0, 3],
+            &[1, 4],
+            &[2, 5],
+            &[0],
+            &[1],
+            &[2],
+            &[3],
+            &[4],
+            &[5],
+        ];
+        let model = Arc::new(
+            regions
+                .iter()
+                .fold(FaultModelBuilder::new(space), |b, r| {
+                    b.fault(r.iter().map(|&x| DemandId::new(x)))
+                })
                 .build()
-                .unwrap();
-            assert_eq!(default.structure(), &Structure::one_out_of_n(2));
-            assert_replays_the_pair(&default, 20);
+                .unwrap(),
+        );
+        let props = |a: f64, b: f64| {
+            let props = [a, a, 0.7 * a, 0.7 * a, 0.7 * a].into_iter().chain([b; 6]);
+            BernoulliPopulation::new(Arc::clone(&model), props.collect()).unwrap()
+        };
+        let asymmetric = World::forced(
+            "asymmetric",
+            props(0.5, 0.0),
+            props(0.0, 0.06),
+            UsageProfile::uniform(space),
+        );
+        let spec = UniverseSpec {
+            n_demands: 200,
+            n_faults: 60,
+            region_size: RegionSize::Uniform { min: 1, max: 4 },
+            profile: ProfileKind::Zipf(0.8),
+        };
+        let (universe, pop) = spec
+            .generate_with_population(
+                &mut StdRng::seed_from_u64(7),
+                PropensityKind::Uniform { lo: 0.05, hi: 0.5 },
+            )
+            .unwrap();
+        let cascade = World::from_universe("medium-cascade", &universe, pop);
+        [(small_graded, 4), (asymmetric, 4), (cascade, 16)]
+    }
+
+    /// The paper's process by hand, with no campaign code: sample A, then
+    /// B; generate the suite(s) from the world's profile; debug with the
+    /// perfect oracle and fixer (or back to back); evaluate with the
+    /// prepared world's version and pair pfds.
+    fn replay(world: &World, regime: CampaignRegime, size: usize, seed: u64) -> PairOutcome {
+        let prepared = Prepared::new(Arc::clone(world.model()), world.profile.clone());
+        let generator = ProfileGenerator::new(world.profile.clone());
+        let (model, oracle, fixer) = (prepared.model(), PerfectOracle::new(), PerfectFixer::new());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = world.pop_a.sample(&mut rng);
+        let b = world.pop_b.sample(&mut rng);
+        let (first, second) = match regime {
+            CampaignRegime::IndependentSuites => {
+                let (ta, tb) = (
+                    generator.generate(&mut rng, size),
+                    generator.generate(&mut rng, size),
+                );
+                let first = debug_version(&a, &ta, model, &oracle, &fixer, &mut rng).version;
+                (
+                    first,
+                    debug_version(&b, &tb, model, &oracle, &fixer, &mut rng).version,
+                )
+            }
+            CampaignRegime::SharedSuite => {
+                let t = generator.generate(&mut rng, size);
+                let first = debug_version(&a, &t, model, &oracle, &fixer, &mut rng).version;
+                (
+                    first,
+                    debug_version(&b, &t, model, &oracle, &fixer, &mut rng).version,
+                )
+            }
+            CampaignRegime::BackToBack(identical) => {
+                let t = generator.generate(&mut rng, size);
+                let (mut first, mut second) = (a.clone(), b.clone());
+                back_to_back_debug(
+                    &mut first,
+                    &mut second,
+                    &t,
+                    model,
+                    identical,
+                    &fixer,
+                    &mut rng,
+                );
+                (first, second)
+            }
+            CampaignRegime::Adaptive(_) => unreachable!("replayed regimes are static"),
+        };
+        PairOutcome {
+            first_pfd: prepared.version_pfd(&first),
+            second_pfd: prepared.version_pfd(&second),
+            system_pfd: prepared.pair_pfd(&first, &second),
+            first_pfd_before: prepared.version_pfd(&a),
+            second_pfd_before: prepared.version_pfd(&b),
+            system_pfd_before: prepared.pair_pfd(&a, &b),
+            first,
+            second,
         }
     }
 
-    #[test]
-    fn adaptive_system_matches_the_pair_adaptive_campaign() {
-        use crate::policy::PolicySpec;
+    /// The six pfds of a pair outcome, as bits.
+    fn pfd_bits(o: &PairOutcome) -> [u64; 6] {
+        [
+            o.first_pfd,
+            o.second_pfd,
+            o.system_pfd,
+            o.first_pfd_before,
+            o.second_pfd_before,
+            o.system_pfd_before,
+        ]
+        .map(f64::to_bits)
+    }
 
-        let world = World::singleton_uniform("sys-adaptive", vec![0.5; 6]).unwrap();
-        for policy in [
-            PolicySpec::RoundRobin,
-            PolicySpec::GreedyOnFailures,
-            PolicySpec::EpsilonGreedy { epsilon: 0.2 },
-            PolicySpec::UcbIndex { c: 0.5 },
-        ] {
-            let regime = CampaignRegime::Adaptive(policy);
-            let s = system_scenario(&world, Structure::one_out_of_n(2), regime, 8);
-            assert_replays_the_pair(&s, 10);
+    #[test]
+    fn the_pair_campaign_replays_the_papers_process_bit_for_bit() {
+        for (world, size) in replay_worlds() {
+            for regime in [
+                CampaignRegime::SharedSuite,
+                CampaignRegime::IndependentSuites,
+                CampaignRegime::BackToBack(IdenticalFailureModel::Bernoulli(0.5)),
+            ] {
+                // The pair is run whatever the scenario's own structure.
+                let s = system_scenario(&world, Structure::k_of_n(2, 2), regime, size);
+                for seed in 0..200 {
+                    let (run, hand) = (s.run(seed), replay(&world, regime, size, seed));
+                    let at = format!("{} {regime:?} seed {seed}", world.label());
+                    assert_eq!(
+                        (&run.first, &run.second),
+                        (&hand.first, &hand.second),
+                        "{at}"
+                    );
+                    assert_eq!(pfd_bits(&run), pfd_bits(&hand), "{at}");
+                }
+            }
         }
     }
 
@@ -346,6 +457,27 @@ mod tests {
                 components: 3
             }
         );
+    }
+
+    #[test]
+    fn component_indices_are_capped() {
+        use diversim_core::structure::MAX_COMPONENTS;
+
+        let world = World::singleton_uniform("sys-cap", vec![0.5; 4]).unwrap();
+        let pair = world.scenario().build().unwrap();
+        let tree = |i: usize| Structure::or(vec![Structure::component(0), Structure::component(i)]);
+        let refused = ScenarioError::InvalidStructure {
+            reason: "component index at or above the cap of 256 components",
+        };
+        let build = |i: usize| world.scenario().structure(tree(i)).build();
+        assert_eq!(build(MAX_COMPONENTS).unwrap_err(), refused);
+        assert_eq!(
+            pair.with_structure(tree(MAX_COMPONENTS)).unwrap_err(),
+            refused
+        );
+        assert_eq!(build(MAX_COMPONENTS - 1).unwrap().structure(), &tree(255));
+        let widest = pair.with_structure(tree(MAX_COMPONENTS - 1)).unwrap();
+        assert_eq!(widest.structure().component_count(), MAX_COMPONENTS);
     }
 
     #[test]

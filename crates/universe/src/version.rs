@@ -131,12 +131,13 @@ impl Version {
     }
 
     /// The version's probability of failure on demand (pfd):
-    /// `Σ_x υ(π, x) Q(x)` — the paper's `η(π, ∅)` before testing.
+    /// `Σ_x υ(π, x) Q(x)` — the paper's `η(π, ∅)` before testing,
+    /// accumulated in ascending demand order from `+0.0`, as the kernel's
+    /// masses are (so a correct version's pfd is `+0.0`).
     pub fn pfd(&self, model: &FaultModel, profile: &UsageProfile) -> f64 {
-        self.failure_set(model)
-            .iter()
-            .map(|i| profile.probability(DemandId::new(i as u32)))
-            .sum()
+        self.failure_set(model).iter().fold(0.0, |acc, i| {
+            acc + profile.probability(DemandId::new(i as u32))
+        })
     }
 
     /// Removes the given faults (perfect fixing of those faults); faults
@@ -228,7 +229,8 @@ mod tests {
         let v = Version::from_faults(&m, [f(1), f(2)]);
         // Fails on demands 1, 2, 3 → pfd = 0.2 + 0.3 + 0.4.
         assert!((v.pfd(&m, &q) - 0.9).abs() < 1e-12);
-        assert!((Version::correct(&m).pfd(&m, &q)).abs() < 1e-15);
+        // An empty sum is +0.0, the kernel's value, not -0.0.
+        assert_eq!(Version::correct(&m).pfd(&m, &q).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
