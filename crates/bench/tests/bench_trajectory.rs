@@ -174,16 +174,21 @@ fn trajectory_ids(name: &str) -> Vec<String> {
 }
 
 /// The hot_paths trajectory must keep every substrate hot path on the
-/// record: scoring, sampling, debugging and the difficulty vectors.
+/// record: scoring, sampling, debugging and the difficulty vectors, with
+/// scoring and debugging on both sides of the one-word `O_x` index.
 #[test]
 fn hot_paths_trajectory_covers_every_substrate_path() {
     let ids = trajectory_ids("BENCH_hot_paths.json");
     for wanted in [
-        "score/fails_on",
+        "score/fails_on/medium-cascade",
+        "score/fails_on/large",
         "score/failure_set",
         "score/pfd",
-        "sample/version_from_bernoulli",
+        "sample/version_from_bernoulli/asymmetric",
+        "sample/version_from_bernoulli/large",
         "sample/suite_generation",
+        "debug/perfect_step/medium-cascade",
+        "debug/perfect_step/large",
         "debug/perfect_debug",
         "difficulty/theta_vector",
         "difficulty/xi_vector",

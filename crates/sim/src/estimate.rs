@@ -13,7 +13,7 @@ use diversim_universe::version::Version;
 
 use crate::campaign::PAIR;
 use crate::scenario::Scenario;
-use crate::system::campaign;
+use crate::system::{campaign, Before};
 
 /// A Monte Carlo point estimate with its uncertainty.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +72,8 @@ pub struct PairEstimates {
 pub(crate) fn estimate(scenario: &Scenario, replications: u64, threads: usize) -> PairEstimates {
     let reducer = (Moments, Moments, Moments);
     let (acc_a, acc_b, acc_sys) = scenario.reduce(replications, threads, &reducer, |seed| {
-        let (_, _, ([a, b], system)) = campaign::<[Version; 2]>(scenario, &PAIR, seed, false);
+        let (_, _, ([a, b], system)) =
+            campaign::<[Version; 2]>(scenario, &PAIR, seed, Before::Nothing);
         (a, b, system)
     });
     PairEstimates {

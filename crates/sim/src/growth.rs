@@ -24,7 +24,7 @@ use diversim_testing::process::{back_to_back_step, debug_step, debug_version};
 use diversim_testing::suite::TestSuite;
 use diversim_universe::version::Version;
 
-use crate::campaign::CampaignRegime;
+use crate::campaign::{CampaignRegime, PAIR};
 use crate::estimate::Estimate;
 use crate::prepared::Prepared;
 use crate::scenario::Scenario;
@@ -67,10 +67,18 @@ impl GrowthCurve {
     }
 }
 
-fn record(sample: &mut GrowthSample, prepared: &Prepared, va: &Version, vb: &Version) {
-    sample.version_a.push(prepared.version_pfd(va));
-    sample.version_b.push(prepared.version_pfd(vb));
-    sample.system.push(prepared.pair_pfd(va, vb));
+/// The pair's version and system pfds, from one failure set per version.
+fn pair_pfds(prepared: &Prepared, pair: &[Version; 2]) -> ([f64; 2], f64) {
+    let mut pfds = [0.0; 2];
+    let system = prepared.evaluate(pair, &PAIR, &mut pfds);
+    (pfds, system)
+}
+
+fn record(sample: &mut GrowthSample, prepared: &Prepared, pair: &[Version; 2]) {
+    let ([a, b], system) = pair_pfds(prepared, pair);
+    sample.version_a.push(a);
+    sample.version_b.push(b);
+    sample.system.push(system);
 }
 
 /// One growth replication (the body behind [`Scenario::growth_sample`]):
@@ -83,8 +91,7 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
     let prepared = scenario.prepared();
     let model = prepared.model();
     let regime = scenario.regime();
-    let mut va = scenario.component(0).sample(&mut rng);
-    let mut vb = scenario.component(1).sample(&mut rng);
+    let mut pair = [0, 1].map(|i| scenario.component(i).sample(&mut rng));
     let total = *checkpoints.last().expect("validated non-empty");
 
     // Draw the demand streams up front (suites of the total length).
@@ -104,7 +111,7 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
 
     let mut next_checkpoint = 0usize;
     if checkpoints[next_checkpoint] == 0 {
-        record(&mut sample, prepared, &va, &vb);
+        record(&mut sample, prepared, &pair);
         next_checkpoint += 1;
     }
 
@@ -112,18 +119,19 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
     for step in 0..total {
         let xa = stream_a.demands().get(step).copied();
         let xb = stream_b.demands().get(step).copied();
+        let [va, vb] = &mut pair;
         match regime {
             CampaignRegime::IndependentSuites | CampaignRegime::SharedSuite => {
                 if let Some(x) = xa {
-                    debug_step(&mut va, x, model, oracle, fixer, &mut rng);
+                    debug_step(va, x, model, oracle, fixer, &mut rng);
                 }
                 if let Some(x) = xb {
-                    debug_step(&mut vb, x, model, oracle, fixer, &mut rng);
+                    debug_step(vb, x, model, oracle, fixer, &mut rng);
                 }
             }
             CampaignRegime::BackToBack(identical) => {
                 if let Some(x) = xa {
-                    back_to_back_step(&mut va, &mut vb, x, model, identical, fixer, &mut rng);
+                    back_to_back_step(va, vb, x, model, identical, fixer, &mut rng);
                 }
             }
             CampaignRegime::Adaptive(_) => {
@@ -131,7 +139,7 @@ pub(crate) fn growth_sample(scenario: &Scenario, checkpoints: &[usize], seed: u6
             }
         }
         if next_checkpoint < checkpoints.len() && step + 1 == checkpoints[next_checkpoint] {
-            record(&mut sample, prepared, &va, &vb);
+            record(&mut sample, prepared, &pair);
             next_checkpoint += 1;
         }
     }
@@ -227,13 +235,13 @@ pub(crate) fn merged_comparison(scenario: &Scenario, n: usize, seed: u64) -> Mer
     let b1 = debug_version(&va, &merged, model, oracle, fixer, &mut rng);
     let b2 = debug_version(&vb, &merged, model, oracle, fixer, &mut rng);
 
+    let ([ia, ib], independent_system) = pair_pfds(prepared, &[a1.version, a2.version]);
+    let ([ma, mb], merged_system) = pair_pfds(prepared, &[b1.version, b2.version]);
     MergedComparison {
-        independent_system: prepared.pair_pfd(&a1.version, &a2.version),
-        merged_system: prepared.pair_pfd(&b1.version, &b2.version),
-        independent_version: 0.5
-            * (prepared.version_pfd(&a1.version) + prepared.version_pfd(&a2.version)),
-        merged_version: 0.5
-            * (prepared.version_pfd(&b1.version) + prepared.version_pfd(&b2.version)),
+        independent_system,
+        merged_system,
+        independent_version: 0.5 * (ia + ib),
+        merged_version: 0.5 * (ma + mb),
     }
 }
 

@@ -27,6 +27,13 @@
 //! agree bit-for-bit, an empty failure set included (see
 //! [`BitSet::weighted_mass`](diversim_universe::bitset::BitSet::weighted_mass)).
 //!
+//! A campaign evaluates a whole state at once — every component's pfd
+//! and the system's — through `Prepared::evaluate`, which builds one
+//! failure set (or index list) per component and reads every pfd from
+//! it; [`Prepared::version_pfd`], [`Prepared::pair_pfd`] and
+//! [`Prepared::structure_pfd`] each build theirs per call and give the
+//! same bits.
+//!
 //! The cache is built once per scenario and shared (via `Arc`) by every
 //! replication on every worker thread.
 
@@ -138,6 +145,23 @@ impl Prepared {
         idx
     }
 
+    /// `Σ Q(x)` over ascending demand indices, from `+0.0`.
+    fn index_mass(&self, indices: impl Iterator<Item = u32>) -> f64 {
+        indices.fold(0.0, |acc, i| acc + self.weights.weight(i as usize))
+    }
+
+    /// The pair's shared failure mass from two sorted index lists.
+    fn index_intersection_mass(&self, a: &[u32], b: &[u32]) -> f64 {
+        self.index_mass(a.iter().copied().filter(|i| b.binary_search(i).is_ok()))
+    }
+
+    /// The system mass of demand failure sets, one per component, under
+    /// `structure`.
+    fn structure_mass(&self, sets: &[BitSet], structure: &Structure) -> f64 {
+        let failed = structure.failure_set_unchecked(&|i| &sets[i], self.model.space().len());
+        self.weights.mass(&failed)
+    }
+
     /// Exact pfd of one version: `Σ_x υ(π, x) Q(x)`.
     ///
     /// Equals [`Version::pfd`] bit-for-bit but reuses the precomputed
@@ -147,10 +171,9 @@ impl Prepared {
     pub fn version_pfd(&self, v: &Version) -> f64 {
         match self.strategy {
             EvalStrategy::Disjoint => v.fault_set().weighted_mass(&self.fault_mass),
-            EvalStrategy::SparseUnion => self
-                .sparse_failure_indices(v)
-                .iter()
-                .fold(0.0, |acc, &i| acc + self.weights.weight(i as usize)),
+            EvalStrategy::SparseUnion => {
+                self.index_mass(self.sparse_failure_indices(v).into_iter())
+            }
             EvalStrategy::DenseBlocks => self.weights.mass(&v.failure_set(&self.model)),
         }
     }
@@ -168,13 +191,10 @@ impl Prepared {
             EvalStrategy::Disjoint => a
                 .fault_set()
                 .weighted_intersection(b.fault_set(), &self.fault_mass),
-            EvalStrategy::SparseUnion => {
-                let ib = self.sparse_failure_indices(b);
-                self.sparse_failure_indices(a)
-                    .into_iter()
-                    .filter(|i| ib.binary_search(i).is_ok())
-                    .fold(0.0, |acc, i| acc + self.weights.weight(i as usize))
-            }
+            EvalStrategy::SparseUnion => self.index_intersection_mass(
+                &self.sparse_failure_indices(a),
+                &self.sparse_failure_indices(b),
+            ),
             EvalStrategy::DenseBlocks => self
                 .weights
                 .intersection_mass(&a.failure_set(&self.model), &b.failure_set(&self.model)),
@@ -183,12 +203,12 @@ impl Prepared {
 
     /// Exact system pfd of `versions` composed under `structure`:
     /// `Σ_x 1[φ fails at x] Q(x)`, bit-for-bit
-    /// [`diversim_core::system::structure_system_pfd`], and the one
-    /// system evaluator of every campaign. An AND over two leaves (the
-    /// paper's pair) is [`Prepared::pair_pfd`]; any other tree runs the
-    /// failure-set algebra of [`Structure::failure_set`] over the
-    /// versions' fault sets on a [`EvalStrategy::Disjoint`] world (no
-    /// demand set is built), over their demand failure sets otherwise.
+    /// [`diversim_core::system::structure_system_pfd`]. An AND over two
+    /// leaves (the paper's pair) is [`Prepared::pair_pfd`]; any other
+    /// tree runs the failure-set algebra of [`Structure::failure_set`]
+    /// over the versions' fault sets on a [`EvalStrategy::Disjoint`]
+    /// world (no demand set is built), over their demand failure sets
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -196,22 +216,77 @@ impl Prepared {
     /// beyond `versions.len()`: scenario construction validates the tree
     /// once, so this does not.
     pub fn structure_pfd(&self, versions: &[Version], structure: &Structure) -> f64 {
-        if let Structure::And(gate) = structure {
-            if let [Structure::Component(i), Structure::Component(j)] = gate.as_slice() {
-                return self.pair_pfd(&versions[*i], &versions[*j]);
+        self.evaluate(versions, structure, &mut [])
+    }
+
+    /// Evaluates one campaign state: writes every component's pfd into
+    /// `component_pfds` (one slot per version, or none when it is empty)
+    /// and returns the system pfd of `versions` under `structure`, from
+    /// one failure set (or index list) per component. The values are
+    /// [`Prepared::version_pfd`]'s and [`Prepared::structure_pfd`]'s, by
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`Prepared::structure_pfd`].
+    pub(crate) fn evaluate(
+        &self,
+        versions: &[Version],
+        structure: &Structure,
+        component_pfds: &mut [f64],
+    ) -> f64 {
+        let pair = match structure {
+            Structure::And(gate) => match gate.as_slice() {
+                [Structure::Component(i), Structure::Component(j)] => Some((*i, *j)),
+                _ => None,
+            },
+            _ => None,
+        };
+        match self.strategy {
+            EvalStrategy::Disjoint => {
+                for (pfd, v) in component_pfds.iter_mut().zip(versions) {
+                    *pfd = self.version_pfd(v);
+                }
+                if let Some((i, j)) = pair {
+                    return self.pair_pfd(&versions[i], &versions[j]);
+                }
+                let capacity = self.model.fault_count();
+                let failed =
+                    structure.failure_set_unchecked(&|i| versions[i].fault_set(), capacity);
+                failed.weighted_mass(&self.fault_mass)
+            }
+            EvalStrategy::SparseUnion => {
+                let lists: Vec<Vec<u32>> = versions
+                    .iter()
+                    .map(|v| self.sparse_failure_indices(v))
+                    .collect();
+                for (pfd, list) in component_pfds.iter_mut().zip(&lists) {
+                    *pfd = self.index_mass(list.iter().copied());
+                }
+                match pair {
+                    Some((i, j)) => self.index_intersection_mass(&lists[i], &lists[j]),
+                    None => self.structure_mass(&self.failure_sets(versions), structure),
+                }
+            }
+            EvalStrategy::DenseBlocks => {
+                let sets = self.failure_sets(versions);
+                for (pfd, set) in component_pfds.iter_mut().zip(&sets) {
+                    *pfd = self.weights.mass(set);
+                }
+                match pair {
+                    Some((i, j)) => self.weights.intersection_mass(&sets[i], &sets[j]),
+                    None => self.structure_mass(&sets, structure),
+                }
             }
         }
-        if self.strategy == EvalStrategy::Disjoint {
-            let capacity = self.model.fault_count();
-            let failed = structure.failure_set_unchecked(&|i| versions[i].fault_set(), capacity);
-            return failed.weighted_mass(&self.fault_mass);
-        }
-        let sets: Vec<BitSet> = versions
+    }
+
+    /// Every version's demand failure set.
+    fn failure_sets(&self, versions: &[Version]) -> Vec<BitSet> {
+        versions
             .iter()
             .map(|v| v.failure_set(&self.model))
-            .collect();
-        let failed = structure.failure_set_unchecked(&|i| &sets[i], self.model.space().len());
-        self.weights.mass(&failed)
+            .collect()
     }
 }
 
@@ -464,7 +539,9 @@ mod tests {
     fn structure_pfd_matches_core_path_bit_for_bit() {
         // Every tuple over a palette of four versions — the correct one,
         // two single faults and every fault — on every strategy: the
-        // tuples include systems that fail nowhere.
+        // tuples include systems that fail nowhere. The state evaluator
+        // gives the same system pfd, and each component's pfd is the
+        // version's own.
         for p in &strategy_worlds() {
             let model = p.model();
             let n = model.fault_count() as u32;
@@ -475,6 +552,7 @@ mod tests {
                 Version::from_faults(model, (0..n).map(f)),
             ];
             for s in [
+                Structure::one_out_of_n(2),
                 Structure::series(3),
                 Structure::one_out_of_n(3),
                 Structure::k_of_n(2, 3),
@@ -488,12 +566,22 @@ mod tests {
                         .collect();
                     let refs: Vec<&Version> = versions.iter().collect();
                     let want = structure_system_pfd(&s, &refs, model, p.profile()).unwrap();
+                    let at = format!("{:?} {s:?} tuple {code}", p.strategy());
                     assert_eq!(
                         p.structure_pfd(&versions, &s).to_bits(),
                         want.to_bits(),
-                        "{:?} {s:?} tuple {code}",
-                        p.strategy()
+                        "{at}"
                     );
+                    let mut pfds = vec![f64::NAN; versions.len()];
+                    let system = p.evaluate(&versions, &s, &mut pfds);
+                    assert_eq!(system.to_bits(), want.to_bits(), "{at}");
+                    for (pfd, v) in pfds.iter().zip(&versions) {
+                        assert_eq!(pfd.to_bits(), p.version_pfd(v).to_bits(), "{at}");
+                        assert_eq!(pfd.to_bits(), v.pfd(model, p.profile()).to_bits(), "{at}");
+                    }
+                    if let [a, b] = versions.as_slice() {
+                        assert_eq!(system.to_bits(), p.pair_pfd(a, b).to_bits(), "{at}");
+                    }
                     fails_nowhere += usize::from(want == 0.0);
                 }
                 assert!(fails_nowhere > 0, "{s:?} always fails somewhere");

@@ -77,7 +77,7 @@ use crate::growth::{GrowthCurve, GrowthSample, MergedComparison, MergedEstimates
 use crate::operation::{CoverageStudy, OperationLog};
 use crate::policy::{PolicyStudy, PolicyTrace};
 use crate::prepared::Prepared;
-use crate::system::{SystemEstimates, SystemOutcome};
+use crate::system::{Before, SystemEstimates, SystemOutcome};
 use crate::world::World;
 
 /// Largest accepted suite size — far above any statistically sensible
@@ -715,10 +715,11 @@ impl Scenario {
     /// scenario's structure: [`Scenario::system_run`] over
     /// [`Structure::one_out_of_n`]`(2)`. Deterministic in `seed`.
     pub fn run(&self, seed: u64) -> PairOutcome {
-        let ([first, second], before, after) = crate::system::campaign(self, &PAIR, seed, true);
+        let ([first, second], before, after) =
+            crate::system::campaign(self, &PAIR, seed, Before::All);
         let ([first_pfd, second_pfd], system_pfd) = after;
-        let ([first_pfd_before, second_pfd_before], system_pfd_before) =
-            before.expect("evaluated before");
+        let (pfds_before, system_pfd_before) = before.expect("evaluated before");
+        let [first_pfd_before, second_pfd_before] = pfds_before.expect("evaluated before");
         PairOutcome {
             first,
             second,
@@ -750,8 +751,9 @@ impl Scenario {
     /// [`Scenario::run`] is this campaign over the paper's pair.
     pub fn system_run(&self, seed: u64) -> SystemOutcome {
         let (versions, before, (component_pfds, system_pfd)) =
-            crate::system::campaign(self, &self.structure, seed, true);
-        let (component_pfds_before, system_pfd_before) = before.expect("evaluated before");
+            crate::system::campaign(self, &self.structure, seed, Before::All);
+        let (pfds_before, system_pfd_before) = before.expect("evaluated before");
+        let component_pfds_before = pfds_before.expect("evaluated before");
         SystemOutcome {
             versions,
             component_pfds_before,

@@ -79,10 +79,12 @@ pub struct SystemEstimates {
 /// A campaign's components: the paper's pair as an array, so that a pair
 /// campaign allocates nothing of its own, or a vector for any structure.
 pub(crate) trait Components: AsRef<[Version]> + AsMut<[Version]> {
-    type Pfds;
+    /// One pfd per component.
+    type Pfds: AsMut<[f64]>;
     /// Components `0..n`, `draw(i)` called in index order.
     fn draw(n: usize, draw: impl FnMut(usize) -> Version) -> Self;
-    fn pfds(&self, pfd: impl FnMut(&Version) -> f64) -> Self::Pfds;
+    /// One pfd slot per component, `0.0` until evaluated.
+    fn pfd_slots(&self) -> Self::Pfds;
 }
 
 impl Components for [Version; 2] {
@@ -91,8 +93,8 @@ impl Components for [Version; 2] {
         assert_eq!(n, 2, "a pair has two components");
         std::array::from_fn(draw)
     }
-    fn pfds(&self, pfd: impl FnMut(&Version) -> f64) -> [f64; 2] {
-        self.each_ref().map(pfd)
+    fn pfd_slots(&self) -> [f64; 2] {
+        [0.0; 2]
     }
 }
 
@@ -101,36 +103,63 @@ impl Components for Vec<Version> {
     fn draw(n: usize, draw: impl FnMut(usize) -> Version) -> Self {
         (0..n).map(draw).collect()
     }
-    fn pfds(&self, pfd: impl FnMut(&Version) -> f64) -> Vec<f64> {
-        self.iter().map(pfd).collect()
+    fn pfd_slots(&self) -> Vec<f64> {
+        vec![0.0; self.len()]
     }
+}
+
+/// Which pfds a campaign evaluates before debugging (evaluating draws no
+/// random number).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Before {
+    /// None: [`Scenario::estimate`] reads none of them.
+    Nothing,
+    /// The system pfd alone: [`Scenario::system_estimate`] reports no
+    /// component before debugging.
+    System,
+    /// Every component pfd and the system pfd.
+    All,
 }
 
 /// The component pfds and the system pfd of one state of a campaign.
 pub(crate) type Pfds<C> = (<C as Components>::Pfds, f64);
 
+/// The pfds a campaign evaluated before debugging: the components' under
+/// [`Before::All`] alone, and the system's.
+pub(crate) type PfdsBefore<C> = (Option<<C as Components>::Pfds>, f64);
+
 /// The campaign behind [`Scenario::run`], `estimate`, `system_run` and
 /// `system_estimate`, in the rng order of the module docs: the debugged
-/// components, and their pfds before debugging (if `before`; evaluating
-/// draws no random number) and after.
+/// components, what `before` asks for before debugging (the component
+/// pfds only under [`Before::All`]) and every pfd after. Each state is
+/// evaluated from one failure set per component
+/// ([`crate::prepared::Prepared::evaluate`]).
 pub(crate) fn campaign<C: Components>(
     scenario: &Scenario,
     structure: &Structure,
     seed: u64,
-    before: bool,
-) -> (C, Option<Pfds<C>>, Pfds<C>) {
+    before: Before,
+) -> (C, Option<PfdsBefore<C>>, Pfds<C>) {
     let prepared = scenario.prepared();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut versions = C::draw(structure.component_count(), |i| {
         scenario.component(i).sample(&mut rng)
     });
-    let pfds = |versions: &C| {
-        let system = prepared.structure_pfd(versions.as_ref(), structure);
-        (versions.pfds(|v| prepared.version_pfd(v)), system)
+    let evaluate = |versions: &C| {
+        let mut pfds = versions.pfd_slots();
+        let system = prepared.evaluate(versions.as_ref(), structure, pfds.as_mut());
+        (pfds, system)
     };
-    let before = before.then(|| pfds(&versions));
+    let before = match before {
+        Before::Nothing => None,
+        Before::System => Some((None, prepared.structure_pfd(versions.as_ref(), structure))),
+        Before::All => {
+            let (pfds, system) = evaluate(&versions);
+            Some((Some(pfds), system))
+        }
+    };
     debug_in_regime(scenario, versions.as_mut(), &mut rng, None);
-    let after = pfds(&versions);
+    let after = evaluate(&versions);
     (versions, before, after)
 }
 
@@ -149,8 +178,11 @@ pub(crate) fn estimate_system(
     );
     let (system, system_before, components) =
         scenario.reduce(replications, threads, &reducer, |seed| {
-            let out = scenario.system_run(seed);
-            (out.system_pfd, out.system_pfd_before, out.component_pfds)
+            let structure = scenario.structure();
+            let (_, before, (component_pfds, system_pfd)) =
+                campaign::<Vec<Version>>(scenario, structure, seed, Before::System);
+            let (_, system_pfd_before) = before.expect("system evaluated before debugging");
+            (system_pfd, system_pfd_before, component_pfds)
         });
     SystemEstimates {
         component_pfds: components.iter().map(Estimate::from_accumulator).collect(),
@@ -426,19 +458,36 @@ mod tests {
     }
 
     #[test]
-    fn system_estimate_is_thread_count_invariant() {
-        let world = World::singleton_uniform("sys-threads", vec![0.3, 0.7, 0.5]).unwrap();
-        let s = system_scenario(
-            &world,
-            Structure::k_of_n(2, 3),
-            CampaignRegime::IndependentSuites,
-            4,
-        );
-        let single = s.system_estimate(300, 1);
-        let multi = s.system_estimate(300, 4);
-        assert_eq!(single, multi);
-        assert_eq!(single.component_pfds.len(), 3);
-        assert!(single.system_pfd.mean <= single.system_pfd_before.mean + 1e-12);
+    fn system_estimate_folds_system_run_bit_for_bit() {
+        // The estimate evaluates only the system pfd before debugging. A
+        // fold of `system_run`'s pfds over the same seeds gives its bits
+        // at 1 and 8 threads, on a singleton world and on a cascade.
+        let [_, _, (cascade, _)] = replay_worlds();
+        let singleton = World::singleton_uniform("sys-threads", vec![0.3, 0.7, 0.5]).unwrap();
+        for (world, regime) in [
+            (singleton, CampaignRegime::IndependentSuites),
+            (cascade, CampaignRegime::SharedSuite),
+        ] {
+            let s = system_scenario(&world, Structure::k_of_n(2, 3), regime, 4);
+            let reducer = (Moments, Moments, ElementWise::new(Moments, 3));
+            let (system, before, components) = s.reduce(300, 1, &reducer, |seed| {
+                let out = s.system_run(seed);
+                (out.system_pfd, out.system_pfd_before, out.component_pfds)
+            });
+            let bits = |e: &Estimate| [e.mean.to_bits(), e.standard_error.to_bits()];
+            for threads in [1, 8] {
+                let est = s.system_estimate(300, threads);
+                let at = format!("{} threads {threads}", world.label());
+                assert_eq!(est.component_pfds.len(), 3, "{at}");
+                for (got, folded) in est.component_pfds.iter().zip(&components).chain([
+                    (&est.system_pfd_before, &before),
+                    (&est.system_pfd, &system),
+                ]) {
+                    assert_eq!(bits(got), bits(&Estimate::from_accumulator(folded)), "{at}");
+                }
+                assert!(est.system_pfd.mean <= est.system_pfd_before.mean + 1e-12);
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Fixer for PerfectFixer {
         version: &mut Version,
         x: DemandId,
     ) -> usize {
-        version.remove_faults(model.faults_at(x).iter().copied())
+        version.remove_faults_at(model, x)
     }
 }
 
@@ -159,6 +159,47 @@ mod tests {
         // contains demand 0: the D_X cascade of §3.
         PerfectFixer::new().fix(&mut rng, &m, &mut v, d(1));
         assert!(!v.fails_on(&m, d(0)));
+    }
+
+    #[test]
+    fn word_and_list_paths_agree_with_the_fault_lists() {
+        // Models of at most 64 faults score and fix through one word per
+        // demand, larger ones through the `O_x` lists; both must match
+        // the lists read fault by fault. A model with no faults has
+        // versions of capacity 0, which hold no block to read.
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(64);
+        let space = DemandSpace::new(40).unwrap();
+        for n in [0, 1, 63, 64, 65] {
+            let model = (0..n)
+                .fold(FaultModelBuilder::new(space), |b, _| {
+                    let size = rng.gen_range(1..=5);
+                    b.fault((0..size).map(|_| d(rng.gen_range(0..40))))
+                })
+                .build()
+                .unwrap();
+            for _ in 0..50 {
+                let version = Version::from_faults(
+                    &model,
+                    (0..n as u32).filter(|_| rng.gen::<bool>()).map(f),
+                );
+                for x in space.iter() {
+                    let causing: Vec<FaultId> = model
+                        .faults_at(x)
+                        .iter()
+                        .copied()
+                        .filter(|&g| version.has_fault(g))
+                        .collect();
+                    assert_eq!(version.fails_on(&model, x), !causing.is_empty(), "{n} {x}");
+                    let mut fixed = version.clone();
+                    let removed = PerfectFixer::new().fix(&mut rng, &model, &mut fixed, x);
+                    let kept = version.faults().filter(|g| !causing.contains(g));
+                    assert_eq!(removed, causing.len(), "{n} {x}");
+                    assert_eq!(fixed, Version::from_faults(&model, kept), "{n} {x}");
+                }
+            }
+        }
     }
 
     #[test]

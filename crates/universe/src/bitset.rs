@@ -89,6 +89,75 @@ impl BitSet {
         s
     }
 
+    /// Builds a set from its [`blocks`](Self::blocks), least-significant
+    /// value first, pulling them from `blocks` in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `blocks` yields exactly `capacity.div_ceil(64)`
+    /// blocks with no bit at or beyond the capacity.
+    pub(crate) fn from_blocks<I: IntoIterator<Item = u64>>(capacity: usize, blocks: I) -> Self {
+        let mut s = Self::new(capacity);
+        let used = capacity.div_ceil(BITS);
+        let storage = &mut s.storage_mut()[..used];
+        let mut filled = 0;
+        for block in blocks {
+            storage[filled] = block;
+            filled += 1;
+        }
+        assert_eq!(filled, used, "{filled} blocks for capacity {capacity}");
+        let rem = capacity % BITS;
+        assert!(
+            rem == 0 || storage[used - 1] >> rem == 0,
+            "block bit at or beyond capacity {capacity}"
+        );
+        s
+    }
+
+    /// Values `0..64` as one word. It exists at every capacity (an
+    /// inline set keeps two blocks, a heap set more than two), so a
+    /// set of capacity 0 reads `0` here where `blocks()[0]` would panic.
+    #[inline]
+    pub(crate) fn first_block(&self) -> u64 {
+        self.storage()[0]
+    }
+
+    /// [`first_block`](Self::first_block), mutably. Callers clear bits
+    /// only, which keeps every bit at or beyond the capacity zero.
+    pub(crate) fn first_block_mut(&mut self) -> &mut u64 {
+        &mut self.storage_mut()[0]
+    }
+
+    /// Returns `true` if any of `values` is in the set, reaching the
+    /// blocks once for the whole list. Values at or beyond the capacity
+    /// are reported absent, as by [`contains`](Self::contains).
+    #[inline]
+    pub(crate) fn contains_any<I: IntoIterator<Item = usize>>(&self, values: I) -> bool {
+        let (blocks, capacity) = (self.storage(), self.capacity);
+        values
+            .into_iter()
+            .any(|value| value < capacity && blocks[value / BITS] >> (value % BITS) & 1 != 0)
+    }
+
+    /// Removes every value of `values`, reaching the blocks once for the
+    /// whole list; returns how many were present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is `>= capacity`.
+    pub(crate) fn remove_all<I: IntoIterator<Item = usize>>(&mut self, values: I) -> usize {
+        let capacity = self.capacity;
+        let blocks = self.storage_mut();
+        let mut removed = 0;
+        for value in values {
+            assert!(value < capacity, "value {value} out of capacity {capacity}");
+            let (block, mask) = (&mut blocks[value / BITS], 1u64 << (value % BITS));
+            removed += usize::from(*block & mask != 0);
+            *block &= !mask;
+        }
+        removed
+    }
+
     /// Every stored block: the [`blocks`](Self::blocks) in use, then, for
     /// an inline set, zero padding. Operations walk this whole slice —
     /// the padding never changes a result, and the inline length is a

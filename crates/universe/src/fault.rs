@@ -232,6 +232,10 @@ pub struct FaultModel {
     /// `region_sets[f]` = the fault's region in kernel form
     /// (sparse/dense, chosen per fault).
     region_sets: Vec<RegionSet>,
+    /// `O_x` as one word per demand (bit `f` of `fault_words[x]` set iff
+    /// fault `f`'s region holds `x`) when the model has at most 64
+    /// faults; empty otherwise.
+    fault_words: Box<[u64]>,
 }
 
 impl FaultModel {
@@ -273,12 +277,22 @@ impl FaultModel {
                 next[x.index()] += 1;
             }
         }
+        let mut fault_words = Vec::new();
+        if faults.len() <= 64 {
+            fault_words.resize(space.len(), 0u64);
+            for (i, fault) in faults.iter().enumerate() {
+                for &x in fault.region() {
+                    fault_words[x.index()] |= 1u64 << i;
+                }
+            }
+        }
         Ok(FaultModel {
             space,
             faults,
             by_demand_offsets,
             by_demand_faults,
             region_sets,
+            fault_words: fault_words.into(),
         })
     }
 
@@ -330,6 +344,13 @@ impl FaultModel {
     pub fn faults_at(&self, x: DemandId) -> &[FaultId] {
         &self.by_demand_faults
             [self.by_demand_offsets[x.index()]..self.by_demand_offsets[x.index() + 1]]
+    }
+
+    /// `O_x` as one word, bit `f` set iff fault `f` fails on `x`: `Some`
+    /// when the model has at most 64 faults and `x` is in the space.
+    #[inline]
+    pub(crate) fn fault_word(&self, x: DemandId) -> Option<u64> {
+        self.fault_words.get(x.index()).copied()
     }
 
     /// The fault's failure region in kernel form (sparse index list or

@@ -14,10 +14,21 @@
 //!
 //! *Forced diversity* (the Littlewood–Miller setting) is modelled simply
 //! by using two different populations over the same fault model.
+//!
+//! # Sampling contract
+//!
+//! [`BernoulliPopulation::sample`] takes one `next_u64` per uncertain
+//! fault (`0 < p < 1`), in ascending fault order, and none for a fault
+//! of propensity 0 or 1. The fault is present iff `next_u64() >> 11` is
+//! below `⌈p·2^53⌉`, which is exactly `u < p` for the vendored
+//! `gen::<f64>()`, `u = (next_u64() >> 11)·2^-53`: an integer `k` is below
+//! the real `p·2^53` iff it is below its ceiling, and `p·2^53` is exact
+//! in `f64`. Each 64-fault block of the version is assembled in one
+//! word.
 
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use diversim_stats::alias::AliasSampler;
 
@@ -178,6 +189,25 @@ impl Population for ExplicitPopulation {
 pub struct BernoulliPopulation {
     model: Arc<FaultModel>,
     propensities: Vec<f64>,
+    /// Per fault: [`NEVER`], [`ALWAYS`], or `⌈p·2^53⌉` (see the module
+    /// docs' sampling contract).
+    thresholds: Box<[u64]>,
+}
+
+/// The threshold of a fault of propensity 0: absent, with no draw.
+const NEVER: u64 = 0;
+/// The threshold of a fault of propensity 1: present, with no draw.
+const ALWAYS: u64 = u64::MAX;
+
+/// The draw threshold of a propensity `p ∈ [0, 1]`: `⌈p·2^53⌉`, which lies
+/// in `1..2^53` for `0 < p < 1` and is [`NEVER`] at `p = 0`; [`ALWAYS`] at
+/// `p = 1`.
+fn threshold(p: f64) -> u64 {
+    if p >= 1.0 {
+        ALWAYS
+    } else {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
 }
 
 impl BernoulliPopulation {
@@ -203,9 +233,11 @@ impl BernoulliPopulation {
                 });
             }
         }
+        let thresholds = propensities.iter().map(|&p| threshold(p)).collect();
         Ok(Self {
             model,
             propensities,
+            thresholds,
         })
     }
 
@@ -255,14 +287,21 @@ impl Population for BernoulliPopulation {
         &self.model
     }
 
+    /// Draws a version under the module docs' sampling contract.
     fn sample(&self, rng: &mut dyn RngCore) -> Version {
-        let present = self
-            .propensities
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p))
-            .map(|(i, _)| i);
-        let set = BitSet::from_iter_with_capacity(self.model.fault_count(), present);
+        let blocks = self.thresholds.chunks(64).map(|chunk| {
+            let mut block = 0;
+            for (bit, &t) in chunk.iter().enumerate() {
+                let present = match t {
+                    NEVER => false,
+                    ALWAYS => true,
+                    t => rng.next_u64() >> 11 < t,
+                };
+                block |= u64::from(present) << bit;
+            }
+            block
+        });
+        let set = BitSet::from_blocks(self.thresholds.len(), blocks);
         Version::from_fault_set(&self.model, set)
     }
 
@@ -326,7 +365,7 @@ mod tests {
     use crate::demand::DemandSpace;
     use crate::fault::FaultModelBuilder;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn d(i: u32) -> DemandId {
         DemandId::new(i)
@@ -443,6 +482,93 @@ mod tests {
                 "empirical {freq} vs theta {} at {x}",
                 pop.theta(x)
             );
+        }
+    }
+
+    /// The propensities at the edges of the threshold arithmetic: 0, 1,
+    /// 2^-53, 1 − 2^-53, the smallest subnormal, dyadic values (p·2^53 an
+    /// integer) and values with a fractional p·2^53.
+    fn edge_propensities() -> Vec<f64> {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        vec![
+            0.0,
+            1.0,
+            ulp,
+            1.0 - ulp,
+            f64::from_bits(1),
+            0.5,
+            0.25,
+            3.0 * ulp,
+            0.75 + ulp,
+            0.1,
+            0.3,
+            1.0 / 3.0,
+            0.999_999_999,
+        ]
+    }
+
+    #[test]
+    fn thresholds_decide_exactly_as_the_float_compare() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut rng = StdRng::seed_from_u64(24);
+        let random = (0..2_000).map(|_| rng.gen::<f64>());
+        for p in edge_propensities().into_iter().chain(random) {
+            let t = threshold(p);
+            if p == 0.0 || p == 1.0 {
+                assert_eq!(t, if p == 0.0 { NEVER } else { ALWAYS });
+                continue;
+            }
+            assert!((1..1u64 << 53).contains(&t), "p = {p:e}");
+            for k in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                assert_eq!(k < t, (k as f64) * ulp < p, "p = {p:e}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_sampler_replays_the_float_compare_loop() {
+        // The reference: one `gen::<f64>() < p` per fault with 0 < p < 1,
+        // in fault order, as `sample` drew before thresholds.
+        fn reference(pop: &BernoulliPopulation, rng: &mut StdRng) -> Version {
+            let present = pop
+                .propensities()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p))
+                .map(|(i, _)| i);
+            let set = BitSet::from_iter_with_capacity(pop.model().fault_count(), present);
+            Version::from_fault_set(pop.model(), set)
+        }
+        let edges = edge_propensities();
+        let mut rng = StdRng::seed_from_u64(53);
+        for n in [0usize, 1, 63, 64, 65, 128, 129, 1000] {
+            let space = DemandSpace::new(n.max(1)).unwrap();
+            let model = Arc::new(
+                (0..n as u32)
+                    .fold(FaultModelBuilder::new(space), |b, i| b.fault([d(i)]))
+                    .build()
+                    .unwrap(),
+            );
+            let cycled = (0..n).map(|i| edges[i % edges.len()]).collect();
+            let random = (0..n).map(|_| rng.gen::<f64>()).collect();
+            let mixed = (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => edges[rng.gen_range(0..edges.len())],
+                    _ => rng.gen::<f64>(),
+                })
+                .collect();
+            for props in [cycled, random, mixed] {
+                let pop = BernoulliPopulation::new(Arc::clone(&model), props).unwrap();
+                for seed in 0..40 {
+                    let (mut fast, mut slow) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let at = format!("{n} faults, seed {seed}");
+                    assert_eq!(pop.sample(&mut fast), reference(&pop, &mut slow), "{at}");
+                    assert_eq!(fast.next_u64(), slow.next_u64(), "{at}");
+                }
+            }
         }
     }
 

@@ -103,11 +103,33 @@ impl Version {
     /// # Panics
     ///
     /// Panics if `x` is outside the model's demand space.
+    #[inline]
     pub fn fails_on(&self, model: &FaultModel, x: DemandId) -> bool {
-        model
-            .faults_at(x)
-            .iter()
-            .any(|f| self.faults.contains(f.index()))
+        match model.fault_word(x) {
+            Some(word) => self.faults.first_block() & word != 0,
+            None => {
+                let faults = model.faults_at(x);
+                !faults.is_empty() && self.faults.contains_any(faults.iter().map(|f| f.index()))
+            }
+        }
+    }
+
+    /// Perfect fixing of a failure on `x` (§3): removes every fault of
+    /// `π ∩ O_x`. Returns how many were removed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is outside the model's demand space.
+    pub fn remove_faults_at(&mut self, model: &FaultModel, x: DemandId) -> usize {
+        match model.fault_word(x) {
+            Some(word) => {
+                let block = self.faults.first_block_mut();
+                let removed = *block & word;
+                *block &= !word;
+                removed.count_ones() as usize
+            }
+            None => self.remove_faults(model.faults_at(x).iter().copied()),
+        }
     }
 
     /// Numeric form of the score function: `1.0` on failure, `0.0`
@@ -143,13 +165,8 @@ impl Version {
     /// Removes the given faults (perfect fixing of those faults); faults
     /// not present are ignored. Returns how many were actually removed.
     pub fn remove_faults<I: IntoIterator<Item = FaultId>>(&mut self, faults: I) -> usize {
-        let mut removed = 0;
-        for f in faults {
-            if self.faults.remove(f.index()) {
-                removed += 1;
-            }
-        }
-        removed
+        self.faults
+            .remove_all(faults.into_iter().map(FaultId::index))
     }
 
     /// Adds the given faults (used by the §5 *common mistake* extension).
