@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the paper-level computations: exact marginal
-//! analyses, suite-measure enumeration, pair and system campaign
-//! simulation and growth curves.
+//! analyses, suite-measure enumeration, the brute-force eq-(15) kernel,
+//! pair and system campaign simulation and growth curves.
 //!
 //! Campaign rows are named `group/<regime or structure>/<world>`, and a
 //! world's pair and system rows run on the same world: small-graded
@@ -16,14 +16,16 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 
-use diversim_bench::worlds::{asymmetric, medium_cascade, small_graded};
+use diversim_bench::worlds::{asymmetric, medium_cascade, mirrored, small_graded};
 use diversim_core::marginal::{MarginalAnalysis, SuiteAssignment};
 use diversim_core::structure::Structure;
+use diversim_exact::brute::TestedEnsemble;
 use diversim_sim::campaign::CampaignRegime;
 use diversim_sim::policy::PolicySpec;
 use diversim_sim::scenario::ScenarioBuilder;
 use diversim_testing::oracle::IdenticalFailureModel;
 use diversim_testing::suite_population::enumerate_iid_suites;
+use diversim_universe::population::Population;
 
 fn bench_exact_marginal(c: &mut Criterion) {
     let w = small_graded();
@@ -63,6 +65,22 @@ fn bench_suite_enumeration(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// E3's heaviest call: the independent-suite joint of equation (15) on
+/// every demand of mirrored(0.5, 0.05), both versions debugged on suites
+/// of size 2 (the eq-(17) cell at n = 2), ensembles built once.
+fn bench_joint_kernel(c: &mut Criterion) {
+    let w = mirrored(0.5, 0.05);
+    let m = enumerate_iid_suites(&w.profile, 2, 1 << 14).expect("enumerable");
+    let ensemble = |pop: &dyn Population| {
+        let support = pop.enumerate(1 << 12).expect("enumerable");
+        TestedEnsemble::new(&support, &m, w.pop_a.model())
+    };
+    let (a, b) = (ensemble(&w.pop_a), ensemble(&w.pop_b));
+    c.bench_function("exact/joint_vector_independent/mirrored", |bench| {
+        bench.iter(|| black_box(a.joint_vector_independent(&b)))
+    });
 }
 
 /// The campaign worlds, one per row of the campaign groups, each with
@@ -210,6 +228,7 @@ criterion_group!(
     targets =
     bench_exact_marginal,
     bench_suite_enumeration,
+    bench_joint_kernel,
     bench_campaigns,
     bench_system_campaigns,
     bench_growth

@@ -16,21 +16,21 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use diversim_sim::runner::default_threads;
 
 use crate::book::{self, ResultDoc};
-use crate::engine::{run_experiment, write_outcome, RunOutcome};
+use crate::engine::{run_experiment_on, schedule, write_outcome, RunOutcome};
 use crate::registry;
 use crate::report::Table;
 use crate::serve::server::{serve_stdio, serve_tcp};
-use crate::serve::service::{execute_experiment, EvaluationService};
+use crate::serve::service::EvaluationService;
 use crate::serve::ExperimentRequest;
-use crate::spec::{ExperimentSpec, Profile};
-use crate::sweep::{
-    sweep_experiment, verify_against_direct_run, CellStore, Shard, SweepOptions, SweepStats,
-};
+use crate::spec::{Budget, ExperimentSpec, Profile};
+use crate::sweep::engine::sweep_experiment_on;
+use crate::sweep::{verify_against_direct_run, CellStore, Shard, SweepOptions, SweepStats};
 
 const USAGE: &str = "diversim — unified driver for the 20 Popov & Littlewood reproductions
 
@@ -187,44 +187,57 @@ fn resolve(keys: &[String], all: bool, profile: Profile) -> Result<Vec<Experimen
         .collect()
 }
 
+/// The registered specs of resolved requests, in request order.
+fn specs_of(requests: &[ExperimentRequest]) -> Vec<&'static ExperimentSpec> {
+    requests
+        .iter()
+        .map(|r| registry::find(&r.key).expect("resolve returns registered keys"))
+        .collect()
+}
+
 fn run_requests(requests: &[ExperimentRequest], opts: &RunOptions) -> ExitCode {
     let started = Instant::now();
-    let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(requests.len());
-    for (position, request) in requests.iter().enumerate() {
-        if !opts.quiet && requests.len() > 1 {
-            println!(
-                "━━━ {} ({}/{}) ━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━",
-                request.key,
-                position + 1,
-                requests.len()
-            );
-        }
-        let outcome = match execute_experiment(request, opts.threads, opts.quiet) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // Unreachable after `resolve`, but the typed surface
-                // reports it properly for any future caller.
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
+    let specs = specs_of(requests);
+    let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(specs.len());
+    let mut write_failed = false;
+    let job = |spec, budget: &Arc<Budget>| {
+        run_experiment_on(spec, opts.profile, budget, opts.quiet, None)
+    };
+    schedule(
+        &specs,
+        &Arc::new(Budget::new(opts.threads)),
+        job,
+        |outcome| {
+            if !opts.quiet && specs.len() > 1 {
+                println!(
+                    "━━━ {} ({}/{}) ━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━",
+                    outcome.spec.slug,
+                    outcomes.len() + 1,
+                    specs.len()
+                );
             }
-        };
-        if let Some(dir) = &opts.out {
-            match write_outcome(dir, &outcome) {
-                Ok((json_path, csv_path)) => {
-                    if !opts.quiet {
-                        println!("results: {} + {}", json_path.display(), csv_path.display());
+            print!("{}", outcome.narration);
+            if let (Some(dir), false) = (&opts.out, write_failed) {
+                match write_outcome(dir, &outcome) {
+                    Ok((json_path, csv_path)) => {
+                        if !opts.quiet {
+                            println!("results: {} + {}", json_path.display(), csv_path.display());
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "error: could not write results for {}: {e}",
+                            outcome.spec.name
+                        );
+                        write_failed = true;
                     }
                 }
-                Err(e) => {
-                    eprintln!(
-                        "error: could not write results for {}: {e}",
-                        outcome.spec.name
-                    );
-                    return ExitCode::from(2);
-                }
             }
-        }
-        outcomes.push(outcome);
+            outcomes.push(outcome);
+        },
+    );
+    if write_failed {
+        return ExitCode::from(2);
     }
 
     let mut summary = Table::new(
@@ -354,10 +367,7 @@ fn sweep(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let specs: Vec<&'static ExperimentSpec> = requests
-        .iter()
-        .map(|r| registry::find(&r.key).expect("resolve returns registered keys"))
-        .collect();
+    let specs = specs_of(&requests);
     let store = CellStore::new(&opts.cells);
     let started = Instant::now();
     let pass = SweepOptions {
@@ -367,16 +377,30 @@ fn sweep(args: &[String]) -> ExitCode {
         resume: opts.resume,
         quiet: opts.quiet,
     };
+    // Each experiment's merged outcome, and with --verify the direct run
+    // its bytes are compared with, computed on the same budget.
+    let job = |spec, budget: &Arc<Budget>| {
+        let run = sweep_experiment_on(spec, &store, &pass, budget);
+        let direct = opts
+            .verify
+            .then(|| run_experiment_on(spec, opts.profile, budget, true, None));
+        (run, direct)
+    };
     let mut runs = Vec::with_capacity(specs.len());
     let mut total = SweepStats::default();
-    for spec in &specs {
-        let run = sweep_experiment(spec, &store, &pass);
-        if !opts.quiet {
-            println!("{}: {}", spec.name, run.stats.summary());
-        }
-        total.add(run.stats);
-        runs.push(run);
-    }
+    schedule(
+        &specs,
+        &Arc::new(Budget::new(opts.threads)),
+        job,
+        |(run, direct)| {
+            if !opts.quiet {
+                print!("{}", run.outcome.narration);
+                println!("{}: {}", run.outcome.spec.name, run.stats.summary());
+            }
+            total.add(run.stats);
+            runs.push((run, direct));
+        },
+    );
     println!(
         "sweep [{}{}]: {} ({:.2}s)",
         opts.profile.name(),
@@ -395,7 +419,7 @@ fn sweep(args: &[String]) -> ExitCode {
 
     let mut failed_experiments = 0;
     let mut drifted = 0;
-    for run in &runs {
+    for (run, direct) in &runs {
         if let Some(dir) = &opts.out {
             if let Err(e) = write_outcome(dir, &run.outcome) {
                 eprintln!(
@@ -411,8 +435,8 @@ fn sweep(args: &[String]) -> ExitCode {
                 eprintln!("FAILED [{}]: {}", run.outcome.spec.name, check.label);
             }
         }
-        if opts.verify {
-            match verify_against_direct_run(run) {
+        if let Some(direct) = direct {
+            match verify_against_direct_run(run, direct) {
                 Ok(()) => {
                     if !opts.quiet {
                         println!(
@@ -603,16 +627,30 @@ fn workspace_root() -> PathBuf {
 }
 
 fn load_or_run_docs(opts: &ReportOptions) -> Result<Vec<ResultDoc>, String> {
-    let mut docs = Vec::new();
-    for spec in registry::all() {
-        let doc = if opts.run {
-            if !opts.quiet {
-                println!("running {} …", spec.name);
-            }
-            let outcome =
-                run_experiment(spec, opts.profile.unwrap_or_default(), opts.threads, true);
-            ResultDoc::from_outcome(&outcome).map_err(|e| e.to_string())?
-        } else {
+    if opts.run {
+        let profile = opts.profile.unwrap_or_default();
+        let mut docs = Vec::new();
+        let job = |spec, budget: &Arc<Budget>| run_experiment_on(spec, profile, budget, true, None);
+        schedule(
+            &registry::all(),
+            &Arc::new(Budget::new(opts.threads)),
+            job,
+            |outcome| {
+                if !opts.quiet {
+                    println!(
+                        "ran {} ({:.2}s)",
+                        outcome.spec.name,
+                        outcome.wall.as_secs_f64()
+                    );
+                }
+                docs.push(ResultDoc::from_outcome(&outcome).map_err(|e| e.to_string()));
+            },
+        );
+        return docs.into_iter().collect();
+    }
+    registry::all()
+        .iter()
+        .map(|spec| {
             let path = opts.results.join(format!("{}.json", spec.name));
             let text = std::fs::read_to_string(&path).map_err(|e| {
                 format!(
@@ -622,11 +660,9 @@ fn load_or_run_docs(opts: &ReportOptions) -> Result<Vec<ResultDoc>, String> {
                     opts.results.display()
                 )
             })?;
-            ResultDoc::from_json(&text, &path.display().to_string()).map_err(|e| e.to_string())?
-        };
-        docs.push(doc);
-    }
-    Ok(docs)
+            ResultDoc::from_json(&text, &path.display().to_string()).map_err(|e| e.to_string())
+        })
+        .collect()
 }
 
 fn write_book(root: &Path, book: &book::Book) -> std::io::Result<()> {

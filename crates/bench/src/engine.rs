@@ -6,14 +6,26 @@
 //! thread counts leak into the output, so result files are
 //! byte-identical across machines and worker counts and can be diffed
 //! by regression tooling.
+//!
+//! Several experiments run side by side through [`schedule`], the one
+//! path `diversim run`, `sweep` and `report --run` take: its workers
+//! share one [`Budget`] of `--threads` units, each holding one unit while
+//! it has experiments to take, and the cells of the experiments still
+//! running lease the units of workers that found none left. A run's
+//! narration is kept in its [`RunOutcome`], and the caller prints it when
+//! the scheduler hands the outcome back, in request order. Result files
+//! do not depend on the interleaving; only wall times do, and those of
+//! experiments that ran side by side overlap.
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::json::Value;
 use crate::report::tables_to_long_csv;
-use crate::spec::{Check, ExperimentSpec, Profile, RunContext};
+use crate::spec::{Budget, Check, ExperimentSpec, Profile, RunContext};
 
 /// Identifies the result-file schema emitted by this engine.
 pub const RESULT_SCHEMA: &str = "diversim-result/v1";
@@ -35,10 +47,14 @@ pub struct RunOutcome {
     pub csv: String,
     /// Wall-clock duration of the run (not part of the result files).
     pub wall: Duration,
+    /// The narration and tables of a non-quiet run, as the caller
+    /// prints them (empty when quiet; not part of the result files).
+    pub narration: String,
 }
 
-/// Executes one experiment under a profile and renders its results.
-/// Every cell the experiment declares computes inline.
+/// Executes one experiment under a profile on `threads` threads of its
+/// own and renders its results. Every cell the experiment declares
+/// computes inline.
 pub fn run_experiment(
     spec: &'static ExperimentSpec,
     profile: Profile,
@@ -58,8 +74,21 @@ pub fn run_experiment_with_cells(
     quiet: bool,
     cells: Option<Box<dyn crate::sweep::cell::CellExecutor>>,
 ) -> RunOutcome {
+    run_experiment_on(spec, profile, &Budget::for_one_run(threads), quiet, cells)
+}
+
+/// [`run_experiment_with_cells`] on a budget shared with other runs:
+/// the calling thread holds one unit of `budget` (a [`schedule`] worker
+/// does), and each cell leases the spare ones.
+pub fn run_experiment_on(
+    spec: &'static ExperimentSpec,
+    profile: Profile,
+    budget: &Arc<Budget>,
+    quiet: bool,
+    cells: Option<Box<dyn crate::sweep::cell::CellExecutor>>,
+) -> RunOutcome {
     let started = Instant::now();
-    let mut ctx = RunContext::for_experiment(spec.name, profile, threads, quiet, cells);
+    let mut ctx = RunContext::on_budget(spec.name, profile, Arc::clone(budget), quiet, cells);
     (spec.run)(&mut ctx);
     let wall = started.elapsed();
     let failed = ctx.failed_checks().len();
@@ -74,7 +103,75 @@ pub fn run_experiment_with_cells(
         json,
         csv,
         wall,
+        narration: ctx.narration().to_string(),
     }
+}
+
+/// Runs `specs` side by side under `budget` and hands `finished` each
+/// result in request order.
+///
+/// `min(budget.threads(), specs.len())` workers take the experiments in
+/// order, each holding one unit of the budget, and `job` runs each one
+/// on the budget (through [`run_experiment_on`], as `diversim run`,
+/// `sweep` and `report --run` do). A worker that finds no experiment
+/// left gives its unit back, and the cells of the experiments still
+/// running lease it, so at most `budget.threads()` threads compute at
+/// once and the last experiments still run in parallel. `finished` runs
+/// on the calling thread, which computes nothing: it gets each result as
+/// soon as that one and every earlier one are done. One thread is one
+/// worker, taking the experiments one after another.
+///
+/// # Panics
+///
+/// If the budget is not whole when called. A panic in `job` stops its
+/// worker (whose unit goes back), and this call panics once every other
+/// worker has run out of experiments.
+pub fn schedule<T: Send>(
+    specs: &[&'static ExperimentSpec],
+    budget: &Arc<Budget>,
+    job: impl Fn(&'static ExperimentSpec, &Arc<Budget>) -> T + Sync,
+    mut finished: impl FnMut(T),
+) {
+    assert_eq!(
+        budget.spare(),
+        budget.threads(),
+        "a scheduled budget starts whole"
+    );
+    // Every worker's unit is taken before the first worker starts, so no
+    // cell can lease one of them first.
+    let units: Vec<_> = (0..budget.threads().min(specs.len()))
+        .map(|_| budget.lease(1))
+        .collect();
+    let next = AtomicUsize::new(0);
+    let (done, results) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for unit in units {
+            let (done, next, job) = (done.clone(), &next, &job);
+            scope.spawn(move || {
+                // Given back when no experiment is left, or on a panic.
+                let _unit = unit;
+                loop {
+                    let position = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&spec) = specs.get(position) else {
+                        break;
+                    };
+                    if done.send((position, job(spec, budget))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(done);
+        let mut ready: Vec<Option<T>> = specs.iter().map(|_| None).collect();
+        let mut handed = 0;
+        for (position, result) in results {
+            ready[position] = Some(result);
+            while let Some(result) = ready.get_mut(handed).and_then(Option::take) {
+                finished(result);
+                handed += 1;
+            }
+        }
+    });
 }
 
 fn render_json(spec: &ExperimentSpec, profile: Profile, ctx: &RunContext) -> String {

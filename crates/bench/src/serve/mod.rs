@@ -14,8 +14,8 @@
 //!   the wire `error` messages;
 //! * [`cache`] — the content-addressed LRU cache of prepared worlds;
 //! * [`service`] — request execution ([`service::EvaluationService`]),
-//!   including [`service::execute_experiment`], the single validated
-//!   entry the CLI shares with the server;
+//!   including [`service::execute_experiment`], which resolves an
+//!   experiment request through the registry lookup the CLI uses;
 //! * [`server`] — the stdin/stdout and TCP transports.
 //!
 //! The service is measured end to end by the repository's benchmark

@@ -6,8 +6,10 @@
 //! immutable experiment registry): cache state, arrival order,
 //! connection interleaving and the service's thread count never change
 //! a response byte. [`execute_experiment`] is the experiment arm of the
-//! same surface — `diversim run` calls it too, so a request rejected
-//! over the wire is rejected identically on the command line.
+//! same surface. It resolves keys through `registry::find`, as
+//! `diversim run` does, so a key rejected over the wire is rejected on
+//! the command line too; unlike the CLI, it runs one experiment on
+//! threads of its own, never through the engine's scheduler.
 
 use diversim_stats::online::MeanVar;
 use diversim_stats::seed::SeedSequence;
@@ -33,8 +35,8 @@ pub fn derive_root_seed(seed: u64, stream: u64) -> u64 {
     SeedSequence::new(seed).child(stream).root()
 }
 
-/// Resolves and runs one registered experiment. The single entry the
-/// CLI, the experiment binaries and the server share.
+/// Resolves and runs one registered experiment on `threads` threads of
+/// its own: the server's experiment requests.
 ///
 /// # Errors
 ///

@@ -8,6 +8,19 @@
 //! through `sim::runner`'s deterministic-parallel primitives; the CLI
 //! (`crate::cli`) and the serve protocol are fronts over that one code
 //! path.
+//!
+//! A [`RunContext`] runs on a [`Budget`] of worker threads. The thread
+//! running the experiment holds one unit; every cell the experiment
+//! declares ([`RunContext::cell`]) leases all spare units when it starts,
+//! computes on `1 +` that many threads, and gives them back when it ends.
+//! A run on its own has the budget to itself, so its cells compute on
+//! all of it; under the engine's scheduler the experiments running side
+//! by side share one budget, and a cell leases what finished experiments
+//! left idle. Narration is kept in the context and printed by the
+//! caller once the run is over.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::report::Table;
 use crate::sweep::cell::{CellData, CellExecutor, CellId, CellScope};
@@ -231,58 +244,138 @@ pub struct ExperimentSpec {
     pub run: fn(&mut RunContext),
 }
 
+/// A budget of worker threads that experiments share (`--threads`).
+///
+/// Each running experiment holds one unit; the units nobody holds or
+/// leases are *spare*. A cell leases every spare unit while it computes
+/// (see [`RunContext::cell`]), so at most [`threads`](Budget::threads)
+/// threads compute at once.
+#[derive(Debug)]
+pub struct Budget {
+    threads: usize,
+    spare: AtomicUsize,
+}
+
+impl Budget {
+    /// A budget of `threads` units, all spare: what the engine's
+    /// scheduler hands out to its workers.
+    ///
+    /// # Panics
+    ///
+    /// If `threads == 0`.
+    pub fn new(threads: usize) -> Self {
+        assert!(threads > 0, "need at least one worker thread");
+        Budget {
+            threads,
+            spare: AtomicUsize::new(threads),
+        }
+    }
+
+    /// The budget of one run on the calling thread: that thread holds
+    /// one of the `threads` units for as long as the budget lives, and
+    /// the rest are spare.
+    ///
+    /// # Panics
+    ///
+    /// If `threads == 0`.
+    pub fn for_one_run(threads: usize) -> Arc<Self> {
+        let budget = Budget::new(threads);
+        budget.spare.store(threads - 1, Ordering::SeqCst);
+        Arc::new(budget)
+    }
+
+    /// The units the budget was made with.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The units nobody holds or leases right now.
+    pub fn spare(&self) -> usize {
+        self.spare.load(Ordering::SeqCst)
+    }
+
+    /// Takes up to `most` spare units until the returned lease drops.
+    pub(crate) fn lease(&self, most: usize) -> Lease<'_> {
+        let mut units = 0;
+        // The closure never refuses, so the update always succeeds; it
+        // may run more than once, and `units` keeps the winning take.
+        let _ = self
+            .spare
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |spare| {
+                units = spare.min(most);
+                Some(spare - units)
+            });
+        Lease {
+            budget: self,
+            units,
+        }
+    }
+}
+
+/// Units of a [`Budget`] taken by [`Budget::lease`]; dropping the lease
+/// gives them back, also while a panic unwinds.
+pub(crate) struct Lease<'a> {
+    budget: &'a Budget,
+    units: usize,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.budget.spare.fetch_add(self.units, Ordering::SeqCst);
+    }
+}
+
 /// Mutable state threaded through one experiment execution: the
-/// profile and thread count in, tables and claim checks out.
+/// profile and the thread budget in; tables, claim checks and narration
+/// out.
 #[derive(Debug)]
 pub struct RunContext {
     profile: Profile,
-    threads: usize,
+    budget: Arc<Budget>,
     quiet: bool,
     experiment: &'static str,
     cells: Option<Box<dyn CellExecutor>>,
     tables: Vec<Table>,
     table_stems: Vec<String>,
     checks: Vec<Check>,
+    narration: String,
 }
 
 impl RunContext {
-    /// Creates a context for one run. Cells compute inline (no
-    /// executor) — the `diversim run` behaviour.
+    /// Creates a context for one run on `threads` threads of its own,
+    /// whose cells compute inline (no executor).
     pub fn new(profile: Profile, threads: usize, quiet: bool) -> Self {
-        Self::for_experiment("", profile, threads, quiet, None)
+        Self::on_budget("", profile, Budget::for_one_run(threads), quiet, None)
     }
 
     /// Creates a context that attributes declared cells to
-    /// `experiment` and routes them through `cells` (when given);
-    /// `None` computes every cell inline.
-    pub fn for_experiment(
+    /// `experiment`, routes them through `cells` (when given; `None`
+    /// computes every cell inline) and leases their threads from
+    /// `budget`. The thread that runs the experiment must hold one unit
+    /// of `budget` while the run lasts.
+    pub fn on_budget(
         experiment: &'static str,
         profile: Profile,
-        threads: usize,
+        budget: Arc<Budget>,
         quiet: bool,
         cells: Option<Box<dyn CellExecutor>>,
     ) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
         RunContext {
             profile,
-            threads,
+            budget,
             quiet,
             experiment,
             cells,
             tables: Vec::new(),
             table_stems: Vec::new(),
             checks: Vec::new(),
+            narration: String::new(),
         }
     }
 
     /// The active replication profile.
     pub fn profile(&self) -> Profile {
         self.profile
-    }
-
-    /// Worker threads available to `sim::runner` calls.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Scales a full-effort replication budget to the active profile.
@@ -308,13 +401,18 @@ impl RunContext {
     /// cell entirely when it belongs to another shard — the returned
     /// [`CellData`] then yields `0.0` placeholders and the sweep engine
     /// discards everything derived from them.
+    ///
+    /// The cell leases every spare unit of the run's [`Budget`] when it
+    /// starts and gives them back when it returns (or unwinds): its
+    /// [`CellScope::threads`] is the run's own unit plus the lease.
     pub fn cell(
         &mut self,
         key: impl Into<String>,
         compute: impl FnOnce(&CellScope) -> Vec<f64>,
     ) -> CellData {
         let id = CellId::new(self.experiment, self.profile, key);
-        let scope = CellScope::new(&id, self.threads);
+        let lease = self.budget.lease(usize::MAX);
+        let scope = CellScope::new(&id, 1 + lease.units);
         match self.cells.as_mut() {
             None => CellData::live(compute(&scope)),
             Some(executor) => {
@@ -330,18 +428,21 @@ impl RunContext {
         }
     }
 
-    /// Prints a progress/narrative line unless the run is quiet.
-    pub fn note(&self, message: impl AsRef<str>) {
+    /// Adds a progress/narrative line to the narration unless the run
+    /// is quiet.
+    pub fn note(&mut self, message: impl AsRef<str>) {
         if !self.quiet {
-            println!("{}", message.as_ref());
+            self.narration.push_str(message.as_ref());
+            self.narration.push('\n');
         }
     }
 
-    /// Records a finished table under a result-file stem, printing it
-    /// unless quiet.
+    /// Records a finished table under a result-file stem, adding it to
+    /// the narration unless quiet.
     pub fn emit(&mut self, table: Table, file_stem: &str) {
         if !self.quiet {
-            println!("{}", table.render());
+            self.narration.push_str(&table.render());
+            self.narration.push('\n');
         }
         self.table_stems.push(file_stem.to_string());
         self.tables.push(table);
@@ -353,11 +454,10 @@ impl RunContext {
     /// afterwards when the profile enforces checks, and the result
     /// files record every check either way.
     pub fn check(&mut self, passed: bool, label: impl Into<String>) {
-        let label = label.into();
-        if !passed && !self.quiet {
-            eprintln!("CHECK FAILED: {label}");
-        }
-        self.checks.push(Check { passed, label });
+        self.checks.push(Check {
+            passed,
+            label: label.into(),
+        });
     }
 
     /// The tables recorded so far.
@@ -373,6 +473,12 @@ impl RunContext {
     /// The checks recorded so far.
     pub fn checks(&self) -> &[Check] {
         &self.checks
+    }
+
+    /// The narration and tables recorded so far, as the run would print
+    /// them (empty when quiet).
+    pub fn narration(&self) -> &str {
+        &self.narration
     }
 
     /// Labels of the failed checks.
@@ -417,7 +523,6 @@ mod tests {
     fn context_collects_tables_and_checks() {
         let mut ctx = RunContext::new(Profile::Smoke, 2, true);
         assert_eq!(ctx.replications(10_000), 50);
-        assert_eq!(ctx.threads(), 2);
         let mut t = Table::new("t", &["a"]);
         t.row(&["1".into()]);
         ctx.emit(t, "stem");
@@ -427,6 +532,19 @@ mod tests {
         assert_eq!(ctx.table_stems(), ["stem".to_string()]);
         assert_eq!(ctx.checks().len(), 2);
         assert_eq!(ctx.failed_checks(), vec!["broken"]);
+        assert_eq!(ctx.narration(), "", "quiet runs narrate nothing");
+    }
+
+    #[test]
+    fn narration_is_kept_in_print_order() {
+        let mut ctx = RunContext::new(Profile::Smoke, 1, false);
+        ctx.note("first");
+        let mut t = Table::new("t", &["a"]);
+        t.row(&["1".into()]);
+        let rendered = t.render();
+        ctx.emit(t, "stem");
+        ctx.note("last");
+        assert_eq!(ctx.narration(), format!("first\n{rendered}\nlast\n"));
     }
 
     #[test]
@@ -444,6 +562,27 @@ mod tests {
         });
         assert!(cell.is_live());
         assert_eq!(cell.values(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn cells_lease_the_spare_units_and_give_them_back() {
+        let budget = Arc::new(Budget::new(4));
+        // Two experiments run: each holds a unit, two are spare.
+        let held = budget.lease(2);
+        let mut ctx = RunContext::on_budget("", Profile::Fast, Arc::clone(&budget), true, None);
+        ctx.cell("k=1", |scope| {
+            assert_eq!(scope.threads(), 3, "own unit plus both spare ones");
+            assert_eq!(budget.spare(), 0);
+            vec![]
+        });
+        assert_eq!(budget.spare(), 2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.cell("k=2", |_| panic!("cell fails"));
+        }));
+        assert!(caught.is_err());
+        assert_eq!(budget.spare(), 2, "an unwinding cell gives its lease back");
+        drop(held);
+        assert_eq!(budget.spare(), 4);
     }
 
     /// An executor that skips every other cell and records what it saw.
@@ -470,10 +609,10 @@ mod tests {
 
     #[test]
     fn executor_sees_full_identity_and_can_skip() {
-        let mut ctx = RunContext::for_experiment(
+        let mut ctx = RunContext::on_budget(
             "e99_demo",
             Profile::Smoke,
-            1,
+            Budget::for_one_run(1),
             true,
             Some(Box::<EveryOther>::default()),
         );

@@ -24,8 +24,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::engine::{run_experiment, run_experiment_with_cells, RunOutcome};
-use crate::spec::{ExperimentSpec, Profile};
+use crate::engine::{run_experiment_on, RunOutcome};
+use crate::spec::{Budget, ExperimentSpec, Profile};
 
 use super::cell::{CellExecutor, CellId, CellScope};
 use super::store::{CellLoad, CellStore};
@@ -110,7 +110,7 @@ impl SweepStats {
 pub struct SweepOptions {
     /// Replication profile.
     pub profile: Profile,
-    /// Worker threads per cell computation.
+    /// Worker threads of a pass run on its own ([`sweep_experiment`]).
     pub threads: usize,
     /// Restrict computation to one shard (`None` = all cells).
     pub shard: Option<Shard>,
@@ -188,12 +188,24 @@ impl CellExecutor for StoreExecutor {
     }
 }
 
-/// Runs one experiment's sweep pass against `store` (see the module
-/// docs for the mode semantics).
+/// Runs one experiment's sweep pass against `store` on `opts.threads`
+/// threads of its own (see the module docs for the mode semantics).
 pub fn sweep_experiment(
     spec: &'static ExperimentSpec,
     store: &CellStore,
     opts: &SweepOptions,
+) -> SweepRun {
+    sweep_experiment_on(spec, store, opts, &Budget::for_one_run(opts.threads))
+}
+
+/// [`sweep_experiment`] on a budget shared with other runs, as
+/// [`crate::engine::run_experiment_on`]: the calling thread holds one
+/// unit of `budget`, and `opts.threads` is not read.
+pub(crate) fn sweep_experiment_on(
+    spec: &'static ExperimentSpec,
+    store: &CellStore,
+    opts: &SweepOptions,
+    budget: &Arc<Budget>,
 ) -> SweepRun {
     let stats = Arc::new(Mutex::new(SweepStats::default()));
     let executor = StoreExecutor {
@@ -203,26 +215,20 @@ pub fn sweep_experiment(
         stats: Arc::clone(&stats),
     };
     let quiet = opts.quiet || opts.shard.is_some();
-    let outcome = run_experiment_with_cells(
-        spec,
-        opts.profile,
-        opts.threads,
-        quiet,
-        Some(Box::new(executor)),
-    );
+    let outcome = run_experiment_on(spec, opts.profile, budget, quiet, Some(Box::new(executor)));
     let stats = *stats.lock().expect("sweep stats poisoned");
     SweepRun { outcome, stats }
 }
 
-/// The drift guard: byte-compares a merged sweep outcome against a
-/// direct (cell-inline) engine run of the same experiment and profile.
+/// The drift guard: byte-compares a merged sweep outcome against
+/// `direct`, a cell-inline engine run of the same experiment and profile
+/// (`diversim sweep --verify` makes it on the pass's shared budget).
 ///
 /// # Errors
 ///
 /// A description naming the experiment and which result file drifted.
-pub fn verify_against_direct_run(sweep: &SweepRun) -> Result<(), String> {
+pub fn verify_against_direct_run(sweep: &SweepRun, direct: &RunOutcome) -> Result<(), String> {
     let spec = sweep.outcome.spec;
-    let direct = run_experiment(spec, sweep.outcome.profile, 1, true);
     if sweep.outcome.json != direct.json {
         return Err(format!(
             "{}: sweep JSON drifted from the direct engine run",

@@ -210,6 +210,7 @@ fn regimes_trajectory_covers_campaigns_and_systems() {
         "exact/marginal_analysis/shared",
         "exact/marginal_analysis/independent",
         "exact/enumerate_iid_suites",
+        "exact/joint_vector_independent/mirrored",
         "sim/pair_campaign/independent",
         "sim/pair_campaign/shared",
         "sim/pair_campaign/back_to_back",

@@ -9,10 +9,17 @@
 //! strongest internal validation available for a theory reproduction.
 //!
 //! Each identity has one form here. The ζ and pair-joint forms return a
-//! value for every demand, debugging each combination once, and add
-//! exactly the nonzero terms of the per-demand definition in its order,
-//! so they are bit-identical to it; the adaptive joint
-//! ([`joint_on_demand_adaptive`]) has only its per-demand form.
+//! value for every demand, debugging each combination once, and add the
+//! nonzero terms of the per-demand definition in its order, so they are
+//! bit-identical to it; the adaptive joint ([`joint_on_demand_adaptive`])
+//! has only its per-demand form.
+//!
+//! The equation-(15) sum is one chain of dependent floating-point adds
+//! per demand, so its speed is the add latency, not the number of adds.
+//! [`TestedEnsemble`] therefore keeps each demand's failing weights in a
+//! lane-interleaved layout, and its kernels advance the sums of eight
+//! demands in lockstep — eight independent chains, each in its own
+//! definition's term order.
 
 use diversim_core::error::CoreError;
 use diversim_core::structure::Structure;
@@ -29,126 +36,130 @@ use diversim_universe::version::Version;
 /// produced by [`diversim_universe::Population::enumerate`].
 pub type Support = [(Version, f64)];
 
-/// The mechanistically debugged ensemble in kernel form: every
-/// `(version, suite)` combination's joint probability `S(π)·M(t)`
-/// together with the failure set of the debugged version, computed once
-/// through [`perfect_debug`] instead of once per demand.
+/// Demands whose sums one pass of the [`TestedEnsemble`] kernels
+/// advances in lockstep: one sum's adds form a dependent chain, so
+/// several chains side by side keep the floating-point unit busy.
+const LANES: usize = 8;
+
+/// One row of a lane group: the `j`-th failing weight of each of its
+/// demands, `0.0` where a demand's list is shorter.
+type Row = [f64; LANES];
+
+/// Debugs every `(version, suite)` combination of a support × measure
+/// pair once, in support-outer, measure-inner order — the enumeration
+/// order of the quadruple sums — and hands `visit` its joint probability
+/// `S(π)·M(t)` and the failure set of the debugged version.
+fn for_each_combination(
+    support: &Support,
+    measure: &ExplicitSuitePopulation,
+    model: &FaultModel,
+    mut visit: impl FnMut(f64, BitSet),
+) {
+    for (v, p) in support {
+        for (t, q) in measure.iter() {
+            visit(p * q, perfect_debug(v, t, model).failure_set(model));
+        }
+    }
+}
+
+/// The mechanistically debugged ensemble in kernel form: for every
+/// demand, the joint probabilities `S(π)·M(t)` of the `(version, suite)`
+/// combinations whose debugged version fails there, each combination
+/// debugged once through [`perfect_debug`] instead of once per demand.
 ///
-/// Combinations are stored in (support-outer, measure-inner) order — the
-/// enumeration order of the quadruple sums — so any per-demand quantity
-/// accumulated over the ensemble adds its nonzero terms in exactly the
-/// order the per-demand definitions do, and agrees with them
-/// bit-for-bit. (The stored weight equals the per-demand `score·p·q`
-/// term on failing demands because the score factor is exactly `1.0`;
-/// the zero terms are IEEE no-ops on these non-negative sums.)
+/// Each demand's list keeps combination order (support-outer,
+/// measure-inner — the enumeration order of the quadruple sums), so a
+/// per-demand sum over it adds the nonzero terms of the per-demand
+/// definition in that definition's order. (The stored weight equals the
+/// per-demand `score·p·q` term on failing demands because the score
+/// factor is exactly `1.0`.) The lists are stored lane-interleaved:
+/// demands `g·8 .. g·8 + 8` form lane group `g`, whose `j`-th row holds
+/// the `j`-th weight of each of them, padded with `0.0` past the end of a
+/// shorter list. The padding and the non-failing combinations the lists
+/// leave out both add zero terms, which leave every partial sum of these
+/// finite, non-negative weights unchanged, so the kernels agree with the
+/// per-demand definitions bit for bit.
 #[derive(Debug, Clone)]
 pub struct TestedEnsemble {
-    /// Demand-space size the failure sets are defined over.
+    /// Demand-space size the lists are defined over.
     capacity: usize,
-    /// `(S(π)·M(t), failure set after debugging)` per combination.
-    combos: Vec<(f64, BitSet)>,
+    /// The rows of each lane group, in demand order.
+    groups: Vec<Vec<Row>>,
 }
 
 impl TestedEnsemble {
     /// Debugs every `(version, suite)` combination of a support × measure
-    /// pair once and records its weight and post-debug failure set.
+    /// pair once and files its weight under every demand its debugged
+    /// version fails on.
     pub fn new(support: &Support, measure: &ExplicitSuitePopulation, model: &FaultModel) -> Self {
-        let mut combos = Vec::with_capacity(support.len() * measure.len());
-        for (v, p) in support {
-            for (t, q) in measure.iter() {
-                combos.push((p * q, perfect_debug(v, t, model).failure_set(model)));
+        let capacity = model.space().len();
+        let mut groups = vec![Vec::new(); capacity.div_ceil(LANES)];
+        let mut lengths = vec![0usize; capacity];
+        for_each_combination(support, measure, model, |w, fs| {
+            for x in fs.iter() {
+                let rows: &mut Vec<Row> = &mut groups[x / LANES];
+                if lengths[x] == rows.len() {
+                    rows.push([0.0; LANES]);
+                }
+                rows[lengths[x]][x % LANES] = w;
+                lengths[x] += 1;
             }
-        }
-        TestedEnsemble {
-            capacity: model.space().len(),
-            combos,
-        }
-    }
-
-    /// Number of `(version, suite)` combinations.
-    pub fn len(&self) -> usize {
-        self.combos.len()
-    }
-
-    /// Returns `true` if the ensemble holds no combinations.
-    pub fn is_empty(&self) -> bool {
-        self.combos.is_empty()
-    }
-
-    /// The combinations in enumeration order.
-    pub fn combos(&self) -> &[(f64, BitSet)] {
-        &self.combos
+        });
+        TestedEnsemble { capacity, groups }
     }
 
     /// `ζ(x) = Σ_π Σ_t υ(π,x,t)·S(π)·M(t)` (equation (14)) on every
-    /// demand: each combination scatters its weight over its failure set,
-    /// so every demand adds its failing combinations' weights in
-    /// combination order.
+    /// demand: each demand adds its failing combinations' weights in
+    /// combination order, eight demands in lockstep.
     pub fn zeta_vector(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.capacity];
-        for (w, fs) in &self.combos {
-            for x in fs.iter() {
-                out[x] += w;
+        let mut out = Vec::with_capacity(self.groups.len() * LANES);
+        for rows in &self.groups {
+            let mut acc: Row = [0.0; LANES];
+            for row in rows {
+                for (sum, w) in acc.iter_mut().zip(row) {
+                    *sum += w;
+                }
             }
+            out.extend(acc);
         }
+        out.truncate(self.capacity);
         out
-    }
-
-    /// The weights of the combinations failing on each demand, in
-    /// combination order, as CSR lists: demand `x`'s weights are
-    /// `weights[offsets[x]..offsets[x + 1]]`.
-    fn failing_weights(&self) -> (Vec<usize>, Vec<f64>) {
-        let mut offsets = vec![0; self.capacity + 1];
-        for (_, fs) in &self.combos {
-            for x in fs.iter() {
-                offsets[x + 1] += 1;
-            }
-        }
-        for x in 0..self.capacity {
-            offsets[x + 1] += offsets[x];
-        }
-        let mut cursor = offsets[..self.capacity].to_vec();
-        let mut weights = vec![0.0; offsets[self.capacity]];
-        for (w, fs) in &self.combos {
-            for x in fs.iter() {
-                weights[cursor[x]] = *w;
-                cursor[x] += 1;
-            }
-        }
-        (offsets, weights)
     }
 
     /// `P(both fail on x)` for every demand under independently drawn
     /// suites: the quadruple sum
     /// `Σ_{π₁} Σ_{t₁} Σ_{π₂} Σ_{t₂} υ(π₁,x,t₁)·υ(π₂,x,t₂)·S_A·M_A·S_B·M_B`
-    /// of equation (15). `self`'s combinations are walked in order, and
-    /// each adds, on every demand it fails on, its weight times the weight
-    /// of each `other` combination failing there, in order — so every
-    /// demand sums its nonzero terms `self`-outer, `other`-inner. Both
-    /// ensembles must cover the same demand space.
+    /// of equation (15). Every demand sums the products of its `self`
+    /// and `other` weights from `+0.0`, `self`-outer and `other`-inner,
+    /// and a lane group's eight sums advance together, one row pair at a
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// If the two ensembles cover demand spaces of different sizes.
     pub fn joint_vector_independent(&self, other: &TestedEnsemble) -> Vec<f64> {
-        debug_assert_eq!(self.capacity, other.capacity, "demand spaces differ");
-        let mut out = vec![0.0; self.capacity];
-        let (offsets, weights) = other.failing_weights();
-        for (wa, fa) in &self.combos {
-            for x in fa.iter() {
-                // A local sum, stored once: a store to `out` on every term
-                // makes the compiler reload `wa` after it, and the loop's
-                // speed then depends on where the allocator put both.
-                let mut acc = out[x];
-                for wb in &weights[offsets[x]..offsets[x + 1]] {
-                    acc += wa * wb;
+        assert_eq!(self.capacity, other.capacity, "demand spaces differ");
+        let mut out = Vec::with_capacity(self.groups.len() * LANES);
+        for (rows_a, rows_b) in self.groups.iter().zip(&other.groups) {
+            let mut acc: Row = [0.0; LANES];
+            for wa in rows_a {
+                for wb in rows_b {
+                    for lane in 0..LANES {
+                        acc[lane] += wa[lane] * wb[lane];
+                    }
                 }
-                out[x] = acc;
             }
+            out.extend(acc);
         }
+        out.truncate(self.capacity);
         out
     }
 }
 
-/// A structured system's mechanistically debugged ensemble: one
-/// [`TestedEnsemble`] per component (each component's versions debugged on
-/// its **own** independently drawn suites from the measure) composed
+/// A structured system's mechanistically debugged ensemble: every
+/// component's `(version, suite)` combinations with their failure sets
+/// (each component's versions debugged on its **own** independently
+/// drawn suites from the measure), composed
 /// through a [`Structure`]'s failure-set algebra by *full cross-product
 /// enumeration* — no factorisation assumptions, exact under repeated
 /// components.
@@ -164,7 +175,9 @@ impl TestedEnsemble {
 #[derive(Debug, Clone)]
 pub struct StructureEnsemble {
     structure: Structure,
-    components: Vec<TestedEnsemble>,
+    /// Per component, `(S(π)·M(t), failure set after debugging)` for
+    /// each combination, in combination order.
+    components: Vec<Vec<(f64, BitSet)>>,
     capacity: usize,
 }
 
@@ -189,7 +202,13 @@ impl StructureEnsemble {
         structure.validate(supports.len())?;
         let components = supports
             .iter()
-            .map(|s| TestedEnsemble::new(s, measure, model))
+            .map(|support| {
+                let mut combinations = Vec::with_capacity(support.len() * measure.len());
+                for_each_combination(support, measure, model, |w, fs| {
+                    combinations.push((w, fs));
+                });
+                combinations
+            })
             .collect();
         Ok(StructureEnsemble {
             structure,
@@ -232,7 +251,7 @@ impl StructureEnsemble {
             }
             return;
         }
-        for (w, fs) in self.components[idx].combos() {
+        for (w, fs) in &self.components[idx] {
             sets.push(fs.clone());
             self.recurse_independent(idx + 1, weight * w, sets, out);
             sets.pop();
@@ -634,45 +653,186 @@ mod tests {
         (model, pop, q)
     }
 
+    /// A world over `n` demands with one fault per region and graded
+    /// propensities; demands outside every region fail on no version.
+    fn regions_world(n: usize, regions: &[&[u32]]) -> (Arc<FaultModel>, BernoulliPopulation) {
+        let space = DemandSpace::new(n).unwrap();
+        let model = Arc::new(
+            regions
+                .iter()
+                .fold(FaultModelBuilder::new(space), |builder, region| {
+                    builder.fault(region.iter().map(|&x| DemandId::new(x)))
+                })
+                .build()
+                .unwrap(),
+        );
+        let props = (0..regions.len())
+            .map(|f| 0.15 + 0.7 * f as f64 / regions.len() as f64)
+            .collect();
+        (
+            Arc::clone(&model),
+            BernoulliPopulation::new(model, props).unwrap(),
+        )
+    }
+
+    /// One side of an equation-(15) pair: a support and the suite
+    /// measure its versions are debugged on.
+    type Side = (Vec<(Version, f64)>, ExplicitSuitePopulation);
+
+    /// Kernel cases: `(name, model, side A, side B)`. They cover spaces of
+    /// 5, 6, 7, 8, 9 and 13 demands (not all multiples of the lane
+    /// width), unequal per-demand list lengths, demands no combination
+    /// fails on (9 and 13 leave whole lane groups empty), different
+    /// measures on the two sides, and e03's small-graded and mirrored
+    /// ensembles (eqs 16–19).
+    fn kernel_cases() -> Vec<(String, Arc<FaultModel>, Side, Side)> {
+        let side = |pop: &BernoulliPopulation, q: &UsageProfile, n: usize| -> Side {
+            (
+                pop.enumerate(1 << 12).unwrap(),
+                enumerate_iid_suites(q, n, 1 << 14).unwrap(),
+            )
+        };
+        let mut cases = Vec::new();
+        let (model, pop, q) = overlapping_world();
+        cases.push((
+            "overlapping, n = 2".to_string(),
+            Arc::clone(&model),
+            side(&pop, &q, 2),
+            side(&pop, &q, 2),
+        ));
+        cases.push((
+            "overlapping, n = 2 vs 1".to_string(),
+            model,
+            side(&pop, &q, 2),
+            side(&pop, &q, 1),
+        ));
+        let shapes: [(usize, &[&[u32]]); 3] = [
+            (7, &[&[0, 1], &[1, 2, 3], &[5]]),
+            (9, &[&[0], &[0, 1, 2, 3, 4, 5, 6, 7], &[2, 3]]),
+            (13, &[&[1, 2], &[2, 9], &[9, 10, 11], &[3]]),
+        ];
+        for (n, regions) in shapes {
+            let (model, pop) = regions_world(n, regions);
+            let weights = (1..=n).map(|i| i as f64).collect();
+            let q = UsageProfile::from_weights(model.space(), weights).unwrap();
+            cases.push((
+                format!("{n} demands, n = 2 vs 1"),
+                model,
+                side(&pop, &q, 2),
+                side(&pop, &q, 1),
+            ));
+        }
+        // e03's worlds: small-graded (6 singleton faults, uniform use) and
+        // mirrored(0.5, 0.05) (8 singleton faults, forced design).
+        let graded = singleton_pop(vec![0.02, 0.05, 0.1, 0.2, 0.4, 0.6]);
+        let uniform = UsageProfile::uniform(graded.model().space());
+        let skewed = UsageProfile::from_weights(
+            graded.model().space(),
+            vec![0.05, 0.05, 0.1, 0.2, 0.3, 0.3],
+        )
+        .unwrap();
+        cases.push((
+            "small-graded, eq16, n = 3".to_string(),
+            Arc::clone(graded.model()),
+            side(&graded, &uniform, 3),
+            side(&graded, &uniform, 3),
+        ));
+        cases.push((
+            "small-graded, eq18, n = 2".to_string(),
+            Arc::clone(graded.model()),
+            side(&graded, &uniform, 2),
+            side(&graded, &skewed, 2),
+        ));
+        let model = singleton_pop(vec![0.5; 8]).model().clone();
+        let (pop_a, pop_b) =
+            diversim_universe::generator::mirrored_pair(&model, 0.5, 0.05).unwrap();
+        let uniform = UsageProfile::uniform(model.space());
+        let tail = UsageProfile::from_weights(
+            model.space(),
+            vec![0.05, 0.05, 0.05, 0.05, 0.2, 0.2, 0.2, 0.2],
+        )
+        .unwrap();
+        cases.push((
+            "mirrored, eq17, n = 1".to_string(),
+            Arc::clone(&model),
+            side(&pop_a, &uniform, 1),
+            side(&pop_b, &uniform, 1),
+        ));
+        // At n = 1: the literal per-demand reference re-debugs every
+        // combination and adds every zero term, which at n = 2 takes
+        // seconds in a debug build; n = 1 fills the same eight lanes.
+        cases.push((
+            "mirrored, eq19, n = 1".to_string(),
+            model,
+            side(&pop_a, &uniform, 1),
+            side(&pop_b, &tail, 1),
+        ));
+        cases
+    }
+
+    #[test]
+    fn kernel_cases_cover_ragged_and_empty_lists() {
+        // The cases must exercise what the padding has to get right:
+        // lists of different lengths inside one lane group, and demands
+        // (and whole lane groups) with no failing combination.
+        let mut ragged = false;
+        let mut empty = false;
+        for (_, model, (support, m), _) in kernel_cases() {
+            let mut lengths = vec![0usize; model.space().len()];
+            for_each_combination(&support, &m, &model, |_, fs| {
+                for x in fs.iter() {
+                    lengths[x] += 1;
+                }
+            });
+            ragged |= lengths.chunks(LANES).any(|g| g.iter().any(|&l| l != g[0]));
+            empty |= lengths.contains(&0);
+        }
+        assert!(ragged && empty);
+    }
+
     #[test]
     fn zeta_vector_matches_per_demand_bitwise() {
-        let (model, pop, q) = overlapping_world();
-        let m = enumerate_iid_suites(&q, 2, 1 << 8).unwrap();
-        let support = pop.enumerate(16).unwrap();
-        let zv = TestedEnsemble::new(&support, &m, &model).zeta_vector();
-        assert_eq!(zv.len(), model.space().len());
-        for x in model.space().iter() {
-            // Exact equality: the vector form must reproduce the
-            // per-demand definition bit for bit, not just within tolerance.
-            assert_eq!(zv[x.index()], naive_zeta(&support, &m, &model, x));
+        for (name, model, (support, m), _) in kernel_cases() {
+            let zv = TestedEnsemble::new(&support, &m, &model).zeta_vector();
+            assert_eq!(zv.len(), model.space().len());
+            for x in model.space().iter() {
+                // Exact equality: the vector form must reproduce the
+                // per-demand definition bit for bit, not just within
+                // tolerance.
+                assert_eq!(
+                    zv[x.index()].to_bits(),
+                    naive_zeta(&support, &m, &model, x).to_bits(),
+                    "{name}, demand {}",
+                    x.index()
+                );
+            }
         }
     }
 
     #[test]
     fn joint_vectors_match_per_demand_bitwise() {
-        let (model, pop, q) = overlapping_world();
-        let m = enumerate_iid_suites(&q, 2, 1 << 8).unwrap();
-        let m1 = enumerate_iid_suites(&q, 1, 1 << 8).unwrap();
-        let support = pop.enumerate(16).unwrap();
-        let ens = TestedEnsemble::new(&support, &m, &model);
-        let jv_ind = ens.joint_vector_independent(&ens);
-        let jv_sh = joint_vector_shared(&support, &support, &m, &model);
-        // Unequal ensembles (different measures) on the two sides.
-        let ens1 = TestedEnsemble::new(&support, &m1, &model);
-        let jv_mixed = ens.joint_vector_independent(&ens1);
-        for x in model.space().iter() {
-            assert_eq!(
-                jv_ind[x.index()],
-                naive_joint_independent(&support, &support, &m, &m, &model, x)
-            );
-            assert_eq!(
-                jv_mixed[x.index()],
-                naive_joint_independent(&support, &support, &m, &m1, &model, x)
-            );
-            assert_eq!(
-                jv_sh[x.index()],
-                naive_joint_shared(&support, &support, &m, &model, x)
-            );
+        for (name, model, (support_a, ma), (support_b, mb)) in kernel_cases() {
+            let ens_a = TestedEnsemble::new(&support_a, &ma, &model);
+            let ens_b = TestedEnsemble::new(&support_b, &mb, &model);
+            let jv_ind = ens_a.joint_vector_independent(&ens_b);
+            let jv_sh = joint_vector_shared(&support_a, &support_b, &ma, &model);
+            assert_eq!(jv_ind.len(), model.space().len());
+            for x in model.space().iter() {
+                let naive = naive_joint_independent(&support_a, &support_b, &ma, &mb, &model, x);
+                assert_eq!(
+                    jv_ind[x.index()].to_bits(),
+                    naive.to_bits(),
+                    "{name}, demand {}",
+                    x.index()
+                );
+                let naive = naive_joint_shared(&support_a, &support_b, &ma, &model, x);
+                assert_eq!(
+                    jv_sh[x.index()].to_bits(),
+                    naive.to_bits(),
+                    "{name}, demand {}",
+                    x.index()
+                );
+            }
         }
     }
 
@@ -808,20 +968,5 @@ mod tests {
             &model
         )
         .is_err());
-    }
-
-    #[test]
-    fn ensemble_exposes_combo_order() {
-        let pop = singleton_pop(vec![0.4, 0.8]);
-        let q = UsageProfile::uniform(pop.model().space());
-        let m = enumerate_iid_suites(&q, 1, 64).unwrap();
-        let support = pop.enumerate(16).unwrap();
-        let ens = TestedEnsemble::new(&support, &m, pop.model());
-        assert_eq!(ens.len(), support.len() * m.len());
-        assert!(!ens.is_empty());
-        // Support-outer, measure-inner: combo weights tile as p·q blocks.
-        let (w0, _) = &ens.combos()[0];
-        let expected = support[0].1 * m.iter().next().unwrap().1;
-        assert_eq!(*w0, expected);
     }
 }

@@ -18,9 +18,12 @@
 //!   hot path.
 //! * **Workers return their folds** — each worker folds the blocks it
 //!   claimed into its own `(block, accumulator)` list and hands the list
-//!   back when it is joined; no state is shared but the counter and an
-//!   abort flag. One worker runs inline on the calling thread; more run
-//!   as scoped threads, and the caller only joins them.
+//!   back when it is joined; no state is shared but the job, the counter
+//!   and an abort flag. One worker runs inline on the calling thread,
+//!   which holds a unit of the caller's thread budget; the other
+//!   `threads − 1` run as scoped threads, which the caller joins once its
+//!   own worker finds no block left. The shared state sits on cache lines
+//!   of its own, away from the stack the calling thread's worker writes.
 //! * **Panic semantics** — each job runs under `catch_unwind`. A job
 //!   panic sets the abort flag, which stops further block claiming, and
 //!   its worker returns the panic instead of its folds (dropping them).
@@ -59,6 +62,17 @@ const ACCUMULATE_BLOCK: u64 = 1024;
 struct JobPanic {
     index: u64,
     payload: Box<dyn Any + Send>,
+}
+
+/// What the workers of one [`parallel_reduce`] call share: the job and
+/// the block claims. It sits on cache lines of its own: the calling
+/// thread runs a worker too, and its stack writes must not share a line
+/// with what the other workers read on every replication.
+#[repr(align(128))]
+struct Shared<F> {
+    job: F,
+    counter: AtomicU64,
+    abort: AtomicBool,
 }
 
 /// Runs one job under `catch_unwind`, tagging any panic with its
@@ -136,24 +150,29 @@ where
         return reducer.empty();
     }
     let n_blocks = replications.div_ceil(ACCUMULATE_BLOCK);
-    let counter = AtomicU64::new(0);
-    let abort = AtomicBool::new(false);
+    let shared = &Shared {
+        job,
+        counter: AtomicU64::new(0),
+        abort: AtomicBool::new(false),
+    };
     // One worker: claim blocks until none is left or a job has panicked,
     // and return the folds of the blocks claimed, or the first panic.
-    let work = || -> Result<Vec<(u64, R::Acc)>, JobPanic> {
+    // Each worker keeps its own copy of the closure, so it reads only
+    // `shared` from the caller's frame.
+    let work = move || -> Result<Vec<(u64, R::Acc)>, JobPanic> {
         let mut folds = Vec::new();
-        while !abort.load(Ordering::Relaxed) {
-            let block = counter.fetch_add(1, Ordering::Relaxed);
+        while !shared.abort.load(Ordering::Relaxed) {
+            let block = shared.counter.fetch_add(1, Ordering::Relaxed);
             if block >= n_blocks {
                 break;
             }
             let mut acc = reducer.empty();
             let lo = block * ACCUMULATE_BLOCK;
             for i in lo..(lo + ACCUMULATE_BLOCK).min(replications) {
-                match run_job(i, || job(i, seeds.seed_for(0, i))) {
+                match run_job(i, || (shared.job)(i, seeds.seed_for(0, i))) {
                     Ok(item) => reducer.push(&mut acc, item),
                     Err(panic) => {
-                        abort.store(true, Ordering::Relaxed);
+                        shared.abort.store(true, Ordering::Relaxed);
                         return Err(panic);
                     }
                 }
@@ -163,18 +182,19 @@ where
         Ok(folds)
     };
     let workers = threads.min(usize::try_from(n_blocks).unwrap_or(usize::MAX));
-    let results = if workers == 1 {
-        vec![work()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+    // The caller is one of the workers: it holds a unit of the thread
+    // budget, so it folds blocks instead of only joining the others.
+    let results = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut results = vec![work()];
+        results.extend(
             handles
                 .into_iter()
                 // A panic outside a job (runner bug): propagate as-is.
-                .map(|handle| handle.join().unwrap_or_else(|p| resume_unwind(p)))
-                .collect::<Vec<_>>()
-        })
-    };
+                .map(|handle| handle.join().unwrap_or_else(|p| resume_unwind(p))),
+        );
+        results
+    });
     let mut blocks = Vec::new();
     let mut panics = Vec::new();
     for result in results {
@@ -272,6 +292,23 @@ mod tests {
     fn reduce_zero_threads_panics() {
         let seeds = SeedSequence::new(0);
         let _ = parallel_reduce(1, seeds, 0, &Moments, |_, _| 1.0);
+    }
+
+    #[test]
+    fn calling_thread_folds_blocks_of_a_parallel_reduce() {
+        // Two blocks, two workers: each worker waits at its block's first
+        // replication until the other arrives, so each folds one block,
+        // and one of the two workers must be the calling thread.
+        let caller = std::thread::current().id();
+        let both_started = std::sync::Barrier::new(2);
+        let job = |i: u64, _seed: u64| {
+            if i.is_multiple_of(ACCUMULATE_BLOCK) {
+                both_started.wait();
+            }
+            std::thread::current().id() == caller
+        };
+        let on_caller = parallel_reduce(2 * ACCUMULATE_BLOCK, SeedSequence::new(5), 2, &Count, job);
+        assert_eq!(on_caller, ACCUMULATE_BLOCK);
     }
 
     #[test]
